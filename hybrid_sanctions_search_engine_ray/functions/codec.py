@@ -11,13 +11,58 @@ LEB128-style varint: 7 payload bits per byte, high bit = continuation.
 Encode and decode are fully vectorized (no per-value Python loop): byte
 counts via threshold comparisons, placement via fancy indexing, decode
 via ``np.add.reduceat`` over per-value byte groups.
+
+Batched layout. A segment file holds one row per (term, sub-segment);
+its ``docs``, ``tfs`` and ``dls`` columns are Arrow binary columns whose
+row ``r`` is the varint run of that row's postings. Because every row
+ends on a varint terminator, a column's contiguous values buffer (all
+rows back to back) is itself one valid varint stream, and the row
+boundaries are exactly the ``n_docs`` column's running sum. So a whole
+partition is coded in one pass per column:
+
+* :func:`encode_rows` takes the partition's postings flat, in row
+  order, plus each row's first posting index; doc-id deltas restart at
+  the absolute id at every row start, and the per-row byte offsets are
+  the cumsum of the per-value byte counts sampled at the row starts.
+* :func:`decode_rows` varint-decodes each column's values buffer once
+  and turns doc-id deltas back into ids with a cumsum that is reset at
+  every row start (``n_docs`` gives the row lengths; a reader that skips
+  that column counts them from the docs bytes with :func:`varint_counts`).
+
+:func:`encode_posting` / :func:`decode_posting` are the one-row case.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 _THRESHOLDS = [1 << (7 * k) for k in range(1, 10)]  # values needing > k bytes
+_INT32_MAX = (1 << 31) - 1
+
+
+def _varint_bytes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128 bytes of a non-empty contiguous uint64 array → (uint8
+    buffer, per-value end offsets into it)."""
+    nbytes = np.ones(v.size, dtype=np.int64)
+    vmax = v.max()
+    for t in map(np.uint64, _THRESHOLDS):
+        if vmax < t:
+            break
+        nbytes += v >= t
+    ends = np.cumsum(nbytes)
+    starts = ends - nbytes
+    out = np.zeros(int(ends[-1]), dtype=np.uint8)
+    for k in range(int(nbytes.max())):
+        if k == 0:  # every value has a first byte
+            idx, vk, nk = starts, v, nbytes
+        else:
+            mask = nbytes > k
+            idx, vk, nk = starts[mask] + k, v[mask], nbytes[mask]
+        chunk = (vk >> np.uint64(7 * k)) & np.uint64(0x7F)
+        cont = (nk > k + 1).astype(np.uint8) << 7
+        out[idx] = chunk.astype(np.uint8) | cont
+    return out, ends
 
 
 def varint_encode(values: np.ndarray) -> bytes:
@@ -25,58 +70,143 @@ def varint_encode(values: np.ndarray) -> bytes:
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b""
-    nbytes = np.ones(v.size, dtype=np.int64)
-    for t in _THRESHOLDS:
-        nbytes += v >= np.uint64(t)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    maxb = int(nbytes.max())
-    for k in range(maxb):
-        mask = nbytes > k
-        chunk = (v[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)
-        cont = (nbytes[mask] > k + 1).astype(np.uint8) << 7
-        out[starts[mask] + k] = chunk.astype(np.uint8) | cont
-    return out.tobytes()
+    return _varint_bytes(v)[0].tobytes()
 
 
-def varint_decode(buf: bytes) -> np.ndarray:
-    """Decode concatenated LEB128 varints into a uint64 array."""
+def varint_decode(buf) -> np.ndarray:
+    """Decode concatenated LEB128 varints (any bytes-like) into a uint64 array."""
     b = np.frombuffer(buf, dtype=np.uint8)
-    if b.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    is_end = (b & 0x80) == 0
-    # group id for every byte = number of terminators strictly before it
-    group_starts = np.empty(b.size, dtype=bool)
-    group_starts[0] = True
-    group_starts[1:] = is_end[:-1]
-    starts_idx = np.flatnonzero(group_starts)
-    # shift (in 7-bit units) of each byte within its group
-    pos = np.arange(b.size, dtype=np.int64)
-    shift = pos - np.repeat(starts_idx, np.diff(np.append(starts_idx, b.size)))
-    contrib = (b & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * shift.astype(np.uint64))
-    return np.add.reduceat(contrib, starts_idx)
+    last = b < 0x80  # a value's final byte
+    if last.all():  # every value fits in one byte (also the empty buffer)
+        return b.astype(np.uint64)
+    if not last[-1]:
+        raise ValueError("varint_decode: buffer ends inside a varint")
+    ends = np.flatnonzero(last) + 1
+    starts = np.zeros(ends.size, dtype=np.int64)
+    starts[1:] = ends[:-1]
+    # shift (in 7-bit units) of each byte within its value
+    shift = np.arange(b.size, dtype=np.uint64) - np.repeat(starts.astype(np.uint64), ends - starts)
+    contrib = (b & np.uint8(0x7F)).astype(np.uint64) << (shift * np.uint64(7))
+    return np.add.reduceat(contrib, starts)
+
+
+def _binary_parts(col) -> tuple[np.ndarray, object]:
+    """``(row byte offsets, values buffer)`` of a binary column: every
+    row's bytes back to back, without copying, and where each row starts
+    in them (offsets from 0, one more than rows). ``col`` is a
+    ``pa.BinaryArray`` / ``pa.LargeBinaryArray``, a ``pa.ChunkedArray``
+    of either (chunks are concatenated), or a bytes-like buffer (one row)."""
+    if isinstance(col, (bytes, bytearray, memoryview, pa.Buffer)):
+        return np.array([0, len(col)], dtype=np.int64), col
+    if isinstance(col, pa.ChunkedArray):
+        if col.num_chunks == 0:
+            return np.zeros(1, dtype=np.int64), b""
+        col = col.chunk(0) if col.num_chunks == 1 else pa.concat_arrays(col.chunks)
+    if len(col) == 0:
+        return np.zeros(1, dtype=np.int64), b""
+    if col.null_count:
+        raise ValueError("posting column has nulls")
+    _, offsets, data = col.buffers()
+    wide = pa.types.is_large_binary(col.type)
+    o = np.frombuffer(offsets, dtype=np.int64 if wide else np.int32)[col.offset:col.offset + len(col) + 1]
+    first, last = int(o[0]), int(o[-1])
+    return o.astype(np.int64) - first, (data.slice(first, last - first) if data is not None else b"")
+
+
+def column_bytes(col):
+    """The contiguous values buffer of a binary column (see
+    :func:`_binary_parts` for what ``col`` may be)."""
+    return _binary_parts(col)[1]
+
+
+def _varint_column(values: np.ndarray, bounds: np.ndarray) -> pa.BinaryArray:
+    """One binary column whose row ``r`` is the varints of
+    ``values[bounds[r]:bounds[r + 1]]``."""
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    if v.size != bounds[-1]:
+        raise ValueError(f"encode_rows: column has {v.size} values, rows cover {bounds[-1]}")
+    if v.size:
+        data, ends = _varint_bytes(v)
+        offsets = np.concatenate(([0], ends))[bounds]
+    else:
+        data, offsets = np.empty(0, dtype=np.uint8), np.zeros(bounds.size, dtype=np.int64)
+    if offsets[-1] > _INT32_MAX:
+        raise OverflowError("encode_rows: a binary column over 2 GiB; split the partition")
+    return pa.Array.from_buffers(
+        pa.binary(), bounds.size - 1,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(data)],
+    )
+
+
+def encode_rows(doc_ids, tfs, dls, row_starts):
+    """Encode many posting rows at once → ``(docs, tfs, dls)`` binary
+    columns, one row per entry of ``row_starts``.
+
+    ``doc_ids``/``tfs``/``dls`` hold every row's postings back to back;
+    row ``r`` is ``[row_starts[r], row_starts[r + 1])`` (the last row
+    runs to the end), with doc ids ascending and unique inside a row.
+    ``tfs`` or ``dls`` may be ``None`` to skip that column (returned as
+    ``None``). Each row's bytes equal :func:`encode_posting` of its
+    slice."""
+    d = np.ascontiguousarray(doc_ids, dtype=np.uint64)
+    starts = np.asarray(row_starts, dtype=np.int64)
+    bounds = np.append(starts, d.size)
+    deltas = np.empty_like(d)
+    if d.size:
+        deltas[0] = d[0]
+        np.subtract(d[1:], d[:-1], out=deltas[1:])  # wraps across rows; reset below
+        s = starts[starts < d.size]
+        deltas[s] = d[s]
+    return (
+        _varint_column(deltas, bounds),
+        None if tfs is None else _varint_column(tfs, bounds),
+        None if dls is None else _varint_column(dls, bounds),
+    )
+
+
+def varint_counts(col) -> np.ndarray:
+    """Number of varints in each row of a binary column (one terminator
+    byte per varint): a segment row's ``n_docs``, read off its docs
+    column, for readers that skip the ``n_docs`` column."""
+    offsets, data = _binary_parts(col)
+    ends = np.zeros(len(data) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(data, dtype=np.uint8) < 0x80, out=ends[1:])
+    return np.diff(ends[offsets])
+
+
+def decode_rows(docs, tfs, dls, n_docs):
+    """Inverse of :func:`encode_rows` → flat ``(doc_ids, tfs, doclens)``
+    uint64 arrays in row order; row ``r`` holds ``n_docs[r]`` postings.
+
+    Columns are anything :func:`column_bytes` accepts; ``tfs`` or ``dls``
+    may be ``None`` to skip decoding that column."""
+    n = np.asarray(n_docs, dtype=np.int64)
+    deltas = varint_decode(column_bytes(docs))
+    if deltas.size != (total := int(n.sum())):
+        raise ValueError(f"decode_rows: docs column holds {deltas.size} postings, n_docs sums to {total}")
+    doc_ids = np.cumsum(deltas, dtype=np.uint64)
+    if n.size > 1:  # restart the running sum at every row start (uint64 wraps exactly)
+        starts = np.cumsum(n) - n
+        carry = np.zeros(n.size, dtype=np.uint64)
+        nz = n > 0
+        carry[nz] = doc_ids[starts[nz]] - deltas[starts[nz]]
+        doc_ids -= np.repeat(carry, n)
+    return (
+        doc_ids,
+        None if tfs is None else varint_decode(column_bytes(tfs)),
+        None if dls is None else varint_decode(column_bytes(dls)),
+    )
 
 
 def encode_posting(doc_ids: np.ndarray, tfs: np.ndarray, doclens: np.ndarray) -> tuple[bytes, bytes, bytes]:
     """doc_ids must be sorted ascending & unique. Returns (docs, tfs, dls) buffers."""
-    d = np.ascontiguousarray(doc_ids, dtype=np.uint64)
-    deltas = np.empty_like(d)
-    if d.size:
-        deltas[0] = d[0]
-        np.subtract(d[1:], d[:-1], out=deltas[1:])
-    return (
-        varint_encode(deltas),
-        varint_encode(np.ascontiguousarray(tfs, dtype=np.uint64)),
-        varint_encode(np.ascontiguousarray(doclens, dtype=np.uint64)),
-    )
+    cols = encode_rows(doc_ids, tfs, doclens, [0])
+    return tuple(c[0].as_py() for c in cols)
 
 
 def decode_posting(docs_buf: bytes, tfs_buf: bytes, dls_buf: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of :func:`encode_posting`. Returns (doc_ids, tfs, doclens)."""
-    deltas = varint_decode(docs_buf)
-    doc_ids = np.cumsum(deltas, dtype=np.uint64)
-    return doc_ids, varint_decode(tfs_buf), varint_decode(dls_buf)
+    return decode_rows(docs_buf, tfs_buf, dls_buf, varint_counts(docs_buf))
 
 
 def encode_positions(flat_positions: np.ndarray, counts: np.ndarray) -> bytes:

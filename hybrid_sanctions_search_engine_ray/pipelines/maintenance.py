@@ -42,12 +42,15 @@ import pyarrow.parquet as pq
 import ray
 
 from hybrid_sanctions_search_engine_ray.functions.codec import (
+    column_bytes,
     decode_posting,
     decode_positions,
+    decode_rows,
     encode_positions,
     encode_posting,
-    varint_decode,
+    encode_rows,
 )
+from hybrid_sanctions_search_engine_ray.stages.postings import write_segment
 from hybrid_sanctions_search_engine_ray.state.manifest import (
     IndexManifest,
     atomic_write_json,
@@ -100,104 +103,75 @@ def delete_docs(index_dir: str, doc_ids: Iterable[int]) -> int:
 @ray.remote
 def _scan_part_removed(index_dir: str, part: int, tomb: np.ndarray) -> dict:
     """Read-only: {doc_id: dl} of tombstoned postings in this partition
-    (decodes only the docs/dls blobs, never rewrites anything)."""
+    (decodes only the docs/dls columns, never rewrites anything)."""
     f = os.path.join(segment_dir(index_dir, part), "postings.parquet")
     if not os.path.exists(f):
         return {}
-    tbl = pq.read_table(f, columns=["docs", "dls"])
-    removed: dict[int, int] = {}
-    for i in range(tbl.num_rows):
-        d = np.cumsum(varint_decode(tbl["docs"][i].as_py()), dtype=np.int64)
-        hit = tombstone_mask(tomb, d)
-        if hit.any():
-            l = varint_decode(tbl["dls"][i].as_py())  # noqa: E741
-            for doc, dl in zip(d[hit].tolist(), l[hit].tolist()):
-                removed[int(doc)] = int(dl)
-    return removed
+    tbl = pq.read_table(f, columns=["n_docs", "docs", "dls"])
+    d, _, l = decode_rows(tbl["docs"], None, tbl["dls"], tbl["n_docs"].to_numpy())  # noqa: E741
+    hit = tombstone_mask(tomb, d)
+    return dict(zip(d[hit].tolist(), l[hit].tolist()))
 
 
 @ray.remote
 def _compact_part(index_dir: str, part: int, tomb: np.ndarray, positional: bool) -> dict:
-    """Rewrite one partition's segment without tombstoned postings.
-    Partitions with no affected rows return untouched (no I/O beyond the
-    scan); idempotent for a fixed tombstone set."""
+    """Rewrite one partition's segment without tombstoned postings: one
+    decode and one tombstone test for the whole partition, rows left
+    empty dropped, one re-encode of what is kept. Untouched rows
+    re-encode to their original bytes. Partitions with no tombstoned
+    posting are not rewritten; idempotent for a fixed tombstone set."""
     sdir = segment_dir(index_dir, part)
     f = os.path.join(sdir, "postings.parquet")
     if not os.path.exists(f):
         return {"n_terms": 0, "n_rows": 0, "n_postings": 0, "rewritten": False}
     tbl = pq.read_table(f)
-    # cheap detection pass: which rows contain any tombstoned doc?
-    affected: list[int] = []
-    for i in range(tbl.num_rows):
-        d = np.cumsum(varint_decode(tbl["docs"][i].as_py()), dtype=np.int64)
-        if tombstone_mask(tomb, d).any():
-            affected.append(i)
+    n = tbl["n_docs"].to_numpy()
+    d, t, l = decode_rows(tbl["docs"], tbl["tfs"], tbl["dls"], n)  # noqa: E741
+    keep = ~tombstone_mask(tomb, d)
     meta_path = os.path.join(sdir, "meta.json")
-    if not affected:
+    if keep.all():
         meta = json.load(open(meta_path)) if os.path.exists(meta_path) else {}
         return {
             "n_terms": meta.get("n_terms", 0), "n_rows": tbl.num_rows,
             "n_postings": meta.get("n_postings", 0), "rewritten": False,
         }
-    affected_set = set(affected)
-    pieces: list[pa.Table] = []
-    run_start = 0
-    rebuilt: dict[str, list] = {c: [] for c in tbl.column_names}
-
-    def _flush_clean(upto: int) -> None:
-        nonlocal run_start
-        if upto > run_start:
-            pieces.append(tbl.slice(run_start, upto - run_start))  # zero-copy
-        run_start = upto + 1
-
-    for i in affected:
-        _flush_clean(i)
-        d, t, l = decode_posting(
-            tbl["docs"][i].as_py(), tbl["tfs"][i].as_py(), tbl["dls"][i].as_py()
-        )
-        keep = ~tombstone_mask(tomb, d)
-        if not keep.any():
-            continue  # whole sub-segment gone
-        dk, tk, lk = d[keep], t[keep], l[keep]
-        db, tb, lb = encode_posting(dk, tk, lk)
-        row = {
-            "term": tbl["term"][i].as_py(),
-            "seg_idx": tbl["seg_idx"][i].as_py(),
-            "n_docs": int(dk.size),
-            "cf": int(tk.sum()),
-            "max_tf": int(tk.max()),
-            "docs": db, "tfs": tb, "dls": lb,
+    kept = np.bincount(np.repeat(np.arange(tbl.num_rows), n)[keep], minlength=tbl.num_rows)
+    rows = np.flatnonzero(kept)  # rows that still hold a posting
+    n_k = kept[rows]
+    starts = np.cumsum(n_k) - n_k
+    if rows.size:
+        tk = t[keep]
+        docs, tfs, dls = encode_rows(d[keep], tk, l[keep], starts)
+        cols = {
+            "term": tbl["term"].take(rows),
+            "seg_idx": tbl["seg_idx"].take(rows),
+            "n_docs": pa.array(n_k, pa.int64()),
+            "cf": pa.array(np.add.reduceat(tk, starts).astype(np.int64), pa.int64()),
+            "max_tf": pa.array(np.maximum.reduceat(tk, starts).astype(np.int64), pa.int32()),
+            "docs": docs, "tfs": tfs, "dls": dls,
         }
         if positional:
-            flat, offs = decode_positions(tbl["poss"][i].as_py(), t)
-            parts = [flat[offs[j]: offs[j + 1]] for j in range(d.size) if keep[j]]
-            flat_k = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            row["poss"] = encode_positions(flat_k, tk)
-        for c in tbl.column_names:
-            rebuilt[c].append(row[c])
-        if rebuilt["term"]:
-            pieces.append(pa.table({c: pa.array(rebuilt[c], tbl.schema.field(c).type)
-                                    for c in tbl.column_names}))
-            rebuilt = {c: [] for c in tbl.column_names}
-    _flush_clean(tbl.num_rows)
-    out = pa.concat_tables(pieces) if pieces else tbl.schema.empty_table()
+            # positions stay re-encoded per row (no workload is bound by them)
+            flat, _ = decode_positions(column_bytes(tbl["poss"]), t)
+            flat_k = flat[np.repeat(keep, t.astype(np.int64))]
+            pos_bounds = np.concatenate(([0], np.cumsum(tk, dtype=np.int64)))
+            cols["poss"] = pa.array(
+                [encode_positions(flat_k[pos_bounds[s]:pos_bounds[s + c]], tk[s:s + c])
+                 for s, c in zip(starts.tolist(), n_k.tolist())],
+                pa.binary(),
+            )
+        out = pa.Table.from_arrays([cols[c] for c in tbl.column_names], schema=tbl.schema)
+    else:
+        out = tbl.schema.empty_table()
 
-    import tempfile
-    import zlib
-
-    fd, tmp = tempfile.mkstemp(dir=sdir, suffix=".parquet.tmp")
-    os.close(fd)
-    pq.write_table(out, tmp, row_group_size=4096)
-    os.replace(tmp, f)
-    n_postings = int(out["n_docs"].to_numpy(zero_copy_only=False).sum()) if out.num_rows else 0
+    nbytes, checksum = write_segment(sdir, out)
+    n_postings = int(n_k.sum())
     n_terms = len(set(out["term"].to_pylist()))
     if os.path.exists(meta_path):
         with open(meta_path) as mf:
             meta = json.load(mf)
-        with open(f, "rb") as fh:
-            checksum = zlib.crc32(fh.read(1 << 20))
         meta.update(n_terms=n_terms, n_rows=out.num_rows, n_postings=n_postings,
-                    bytes=os.path.getsize(f), checksum_head_crc32=checksum)
+                    bytes=nbytes, checksum_head_crc32=checksum)
         atomic_write_json(meta_path, meta)
     return {"n_terms": n_terms, "n_rows": out.num_rows,
             "n_postings": n_postings, "rewritten": True}
@@ -303,15 +277,15 @@ def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
                 positional: bool, hot_terms: list[str]) -> dict:
     """Merge one term-partition across source indexes into ``out_dir``.
 
-    Doc-id remapping is O(first delta) per posting row: the docs blob is
-    delta+varint with an absolute first value, so lifting a source into
-    its global id range only rewrites deltas[0] += offset. tfs/dls/poss
-    blobs are byte-copied untouched (positions are doc-internal).
+    Doc-id remapping: lifting a source into its global id range is one
+    batched decode + re-encode of its docs column with the offset added
+    (the blob is delta+varint with an absolute first value, so only each
+    row's first varint changes). tfs/dls/poss blobs are byte-copied
+    untouched (positions are doc-internal).
     Atomic write + meta.json last — the same resume contract as build.
     """
     import time
 
-    from hybrid_sanctions_search_engine_ray.functions.codec import varint_encode
     from hybrid_sanctions_search_engine_ray.stages.postings import (
         SEGMENT_SCHEMA,
         SEGMENT_SCHEMA_POS,
@@ -325,14 +299,10 @@ def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
             continue
         tbl = pq.read_table(f)
         if tbl.num_rows and offset:
-            shifted = []
-            for blob in tbl["docs"].to_pylist():
-                deltas = varint_decode(blob)
-                deltas[0] += np.uint64(offset)
-                shifted.append(varint_encode(deltas))
-            tbl = tbl.set_column(
-                tbl.schema.get_field_index("docs"), "docs", pa.array(shifted, pa.binary())
-            )
+            n = tbl["n_docs"].to_numpy()
+            d, _, _ = decode_rows(tbl["docs"], None, None, n)
+            docs, _, _ = encode_rows(d + np.uint64(offset), None, None, np.cumsum(n) - n)
+            tbl = tbl.set_column(tbl.schema.get_field_index("docs"), "docs", docs)
         if tbl.num_rows:
             tables.append(tbl)
 
@@ -355,22 +325,13 @@ def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
         n_terms = n_postings = 0
         terms_set = set()
 
-    import tempfile
-    import zlib
-
-    fd, tmp = tempfile.mkstemp(dir=sdir, suffix=".parquet.tmp")
-    os.close(fd)
-    pq.write_table(merged, tmp, row_group_size=4096)
-    final = os.path.join(sdir, "postings.parquet")
-    os.replace(tmp, final)
-    with open(final, "rb") as f:
-        checksum = zlib.crc32(f.read(1 << 20))
+    nbytes, checksum = write_segment(sdir, merged)
     meta = {
         "part": part,
         "n_terms": n_terms,
         "n_rows": merged.num_rows,
         "n_postings": n_postings,
-        "bytes": os.path.getsize(final),
+        "bytes": nbytes,
         "checksum_head_crc32": checksum,
         "elapsed_s": round(time.monotonic() - t0, 3),
         "input": ";".join(d for d, _ in srcs),
@@ -579,9 +540,7 @@ def _repart_write_group(g, out_dir: str, positional: bool, hot_terms: list[str],
     query-identical. Atomic write + meta.json last (build's resume
     contract); if meta.json already exists the partition is complete
     from a previous run and is returned as-is (resume)."""
-    import tempfile
     import time
-    import zlib
 
     import pandas as pd
 
@@ -613,20 +572,14 @@ def _repart_write_group(g, out_dir: str, positional: bool, hot_terms: list[str],
     tbl = pa.Table.from_pandas(g[cols], preserve_index=False).cast(
         SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA
     )
-    fd, tmp = tempfile.mkstemp(dir=sdir, suffix=".parquet.tmp")
-    os.close(fd)
-    pq.write_table(tbl, tmp, row_group_size=4096)
-    final = os.path.join(sdir, "postings.parquet")
-    os.replace(tmp, final)
-    with open(final, "rb") as f:
-        checksum = zlib.crc32(f.read(1 << 20))
+    nbytes, checksum = write_segment(sdir, tbl)
     terms_set = set(g["term"].tolist())
     meta = {
         "part": part,
         "n_terms": int(g["term"].nunique()),
         "n_rows": int(len(g)),
         "n_postings": int(g["n_docs"].sum()),
-        "bytes": os.path.getsize(final),
+        "bytes": nbytes,
         "checksum_head_crc32": checksum,
         "elapsed_s": round(time.monotonic() - t0, 3),
         "input": "repartition",
@@ -1104,8 +1057,6 @@ def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> dict:
     """Rewrite one partition keeping each term's ``top_n``
     highest-impact postings (tf desc, doc_id asc tie-break); lists
     already within the budget are copied as zero-copy row slices."""
-    import zlib
-
     src = os.path.join(segment_dir(index_dir, part), "postings.parquet")
     sdir = segment_dir(out_dir, part)
     os.makedirs(sdir, exist_ok=True)
@@ -1157,16 +1108,12 @@ def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> dict:
         rebuilt = {c: [] for c in tbl.column_names}
     _flush_clean(tbl.num_rows)
     out = pa.concat_tables(pieces) if pieces else tbl.schema.empty_table()
-    f = os.path.join(sdir, "postings.parquet")
-    pq.write_table(out, f + ".tmp", row_group_size=4096)
-    os.replace(f + ".tmp", f)
+    nbytes, crc = write_segment(sdir, out)
     n_postings = int(out["n_docs"].to_numpy(zero_copy_only=False).sum()) if out.num_rows else 0
     n_terms = len(set(out["term"].to_pylist()))
-    with open(f, "rb") as fh:
-        crc = zlib.crc32(fh.read(1 << 20))
     atomic_write_json(os.path.join(sdir, "meta.json"),
                       {"n_terms": n_terms, "n_rows": out.num_rows,
-                       "n_postings": n_postings, "bytes": os.path.getsize(f),
+                       "n_postings": n_postings, "bytes": nbytes,
                        "checksum_head_crc32": crc,
                        "pruned_top_n": top_n, "input": src})
     return {"part": part, "n_terms": n_terms, "n_rows": out.num_rows,

@@ -10,8 +10,9 @@ treats sub-segments as additional WAND blocks, which preserves score
 identity).
 
 The segment builder is ``groupby("part").map_groups``: one task per
-partition sorts its rows by (term, doc_id), delta+varint-encodes each
-term run (sub-segment-split at ``max_postings_per_segment``), folds
+partition sorts its rows by (term, doc_id), delta+varint-encodes the
+whole partition in one batched pass (``codec.encode_rows``; each term
+run is split into sub-segment rows at ``max_postings_per_segment``), folds
 sentinel stat rows into the partition meta, and writes
 ``segments/part=K/postings.parquet`` atomically followed by a
 ``meta.json`` lineage record — the unit of resume. Block maxima are
@@ -31,7 +32,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from hybrid_sanctions_search_engine_ray.config import EngineConfig
-from hybrid_sanctions_search_engine_ray.functions.codec import encode_posting
+from hybrid_sanctions_search_engine_ray.functions.codec import encode_rows
 from hybrid_sanctions_search_engine_ray.functions.hashing import hash_string_array
 from hybrid_sanctions_search_engine_ray.state.manifest import atomic_write_json, segment_dir
 
@@ -53,6 +54,25 @@ SEGMENT_SCHEMA_POS = SEGMENT_SCHEMA.append(pa.field("poss", pa.binary()))
 # NOTE: per-block maxima are NOT stored: they depend on the CURRENT global
 # avgdl, so the reader computes them at posting-load time (functions/bm25
 # TermPosting) — which is also what makes federated scoring exact.
+
+
+def write_segment(sdir: str, table: pa.Table) -> tuple[int, int]:
+    """Atomically publish ``table`` as ``sdir/postings.parquet`` (tmp file
+    in the same directory, then rename) → ``(bytes, checksum)``, where
+    the checksum is the crc32 of the file's first MiB — a cheap integrity
+    fingerprint that snapshot/restore verify. Every segment writer
+    (build, compaction, merge, repartition, pruning) goes through here."""
+    fd, tmp = tempfile.mkstemp(dir=sdir, suffix=".parquet.tmp")
+    os.close(fd)
+    # 4096 rows per row group: a partition holds a few hundred term rows
+    # at the benchmark's scale, so it is one row group and the reader's
+    # term filter prunes nothing. Kept so segment bytes stay unchanged.
+    pq.write_table(table, tmp, row_group_size=4096)
+    final = os.path.join(sdir, "postings.parquet")
+    os.replace(tmp, final)
+    with open(final, "rb") as f:
+        checksum = zlib.crc32(f.read(1 << 20))
+    return os.path.getsize(final), checksum
 
 
 def assign_partitions(batch: pa.Table, cfg: EngineConfig, hot_terms: frozenset[str]) -> pa.Table:
@@ -149,16 +169,13 @@ def build_segment(
     if len(group) == 0:
         # partition held only sentinel rows: publish an empty segment so
         # resume sees the partition as complete, carry the stats
-        empty = (SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA).empty_table()
-        fd, tmp = tempfile.mkstemp(dir=sdir, suffix=".parquet.tmp")
-        os.close(fd)
-        pq.write_table(empty, tmp)
-        os.replace(tmp, os.path.join(sdir, "postings.parquet"))
+        nbytes, _ = write_segment(
+            sdir, (SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA).empty_table())
         atomic_write_json(
             os.path.join(sdir, "meta.json"),
             {
                 "part": part, "n_terms": 0, "n_rows": 0, "n_postings": 0,
-                "bytes": os.path.getsize(os.path.join(sdir, "postings.parquet")),
+                "bytes": nbytes,
                 "checksum_head_crc32": 0,
                 "elapsed_s": round(time.monotonic() - t0, 3),
                 "n_docs_partial": n_docs_partial,
@@ -190,63 +207,44 @@ def build_segment(
     doc_ids = group["doc_id"].to_numpy()[order].astype(np.int64)
     tfs = group["tf"].to_numpy()[order].astype(np.int64)
     dls = group["dl"].to_numpy()[order].astype(np.int64)
-    pos_arrays = group["pos"].to_numpy()[order] if positional else None
 
-    # term run boundaries
-    change = np.flatnonzero(terms[1:] != terms[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [len(terms)]))
-
-    cols = ("term", "seg_idx", "n_docs", "cf", "max_tf", "docs", "tfs", "dls") + (("poss",) if positional else ())
-    rows: dict[str, list] = {k: [] for k in cols}
-    n_postings = 0
-    for s, e in zip(starts, ends):
-        term = terms[s]
-        for seg_idx, ss in enumerate(range(s, e, cfg.max_postings_per_segment)):
-            ee = min(ss + cfg.max_postings_per_segment, e)
-            d, t, l = doc_ids[ss:ee], tfs[ss:ee], dls[ss:ee]
-            db, tb, lb = encode_posting(d, t, l)
-            rows["term"].append(term)
-            rows["seg_idx"].append(seg_idx)
-            rows["n_docs"].append(ee - ss)
-            rows["cf"].append(int(t.sum()))
-            rows["max_tf"].append(int(t.max()))
-            rows["docs"].append(db)
-            rows["tfs"].append(tb)
-            rows["dls"].append(lb)
-            if positional:
-                from hybrid_sanctions_search_engine_ray.functions.codec import encode_positions
-
-                flat = (
-                    np.concatenate([np.asarray(p, dtype=np.int64) for p in pos_arrays[ss:ee]])
-                    if ee > ss
-                    else np.empty(0, dtype=np.int64)
-                )
-                rows["poss"].append(encode_positions(flat, t))
-            n_postings += ee - ss
-
+    # term runs, each split into sub-segments of at most
+    # max_postings_per_segment postings; every sub-segment is one row
+    run_starts = np.concatenate(([0], np.flatnonzero(terms[1:] != terms[:-1]) + 1))
+    run_ends = np.append(run_starts[1:], len(terms))
+    cap = cfg.max_postings_per_segment
+    n_segs = (run_ends - run_starts + cap - 1) // cap
+    seg_idx = np.arange(int(n_segs.sum())) - np.repeat(np.cumsum(n_segs) - n_segs, n_segs)
+    row_starts = np.repeat(run_starts, n_segs) + seg_idx * cap
+    n_docs = np.minimum(np.repeat(run_ends, n_segs) - row_starts, cap)
+    docs_col, tfs_col, dls_col = encode_rows(doc_ids, tfs, dls, row_starts)
     data = {
-        "term": pa.array(rows["term"], pa.string()),
-        "seg_idx": pa.array(rows["seg_idx"], pa.int32()),
-        "n_docs": pa.array(rows["n_docs"], pa.int64()),
-        "cf": pa.array(rows["cf"], pa.int64()),
-        "max_tf": pa.array(rows["max_tf"], pa.int32()),
-        "docs": pa.array(rows["docs"], pa.binary()),
-        "tfs": pa.array(rows["tfs"], pa.binary()),
-        "dls": pa.array(rows["dls"], pa.binary()),
+        "term": pa.array(terms[row_starts], pa.string()),
+        "seg_idx": pa.array(seg_idx, pa.int32()),
+        "n_docs": pa.array(n_docs, pa.int64()),
+        "cf": pa.array(np.add.reduceat(tfs, row_starts), pa.int64()),
+        "max_tf": pa.array(np.maximum.reduceat(tfs, row_starts), pa.int32()),
+        "docs": docs_col,
+        "tfs": tfs_col,
+        "dls": dls_col,
     }
     if positional:
-        data["poss"] = pa.array(rows["poss"], pa.binary())
-    table = pa.table(data)
+        # positions stay coded per row (no workload is bound by them)
+        from hybrid_sanctions_search_engine_ray.functions.codec import encode_positions
 
-    # atomic write: tmp file in the same dir, fsync-free rename, meta last
-    fd, tmp = tempfile.mkstemp(dir=sdir, suffix=".parquet.tmp")
-    os.close(fd)
-    pq.write_table(table, tmp, row_group_size=4096)  # small row groups → term-filter pruning at query time
-    final = os.path.join(sdir, "postings.parquet")
-    os.replace(tmp, final)
-    with open(final, "rb") as f:
-        checksum = zlib.crc32(f.read(1 << 20))  # first-MiB crc: cheap integrity fingerprint
+        pos_arrays = group["pos"].to_numpy()[order]
+        data["poss"] = pa.array(
+            [
+                encode_positions(
+                    np.concatenate([np.asarray(p, dtype=np.int64) for p in pos_arrays[s:s + n]]),
+                    tfs[s:s + n],
+                )
+                for s, n in zip(row_starts.tolist(), n_docs.tolist())
+            ],
+            pa.binary(),
+        )
+    table = pa.table(data)
+    nbytes, checksum = write_segment(sdir, table)
     # hot (salted) terms present here — the only terms that can span
     # partitions; recorded so the manifest's distinct-term count is
     # EXACT (same correction rule as merge_indexes / repartition_index).
@@ -260,10 +258,10 @@ def build_segment(
         os.path.join(sdir, "meta.json"),
         {
             "part": part,
-            "n_terms": int(len(starts)),
+            "n_terms": int(len(run_starts)),
             "n_rows": table.num_rows,
-            "n_postings": int(n_postings),
-            "bytes": os.path.getsize(final),
+            "n_postings": len(terms),
+            "bytes": nbytes,
             "checksum_head_crc32": checksum,
             "elapsed_s": round(time.monotonic() - t0, 3),
             "n_docs_partial": n_docs_partial,
@@ -277,9 +275,9 @@ def build_segment(
     return pd.DataFrame(
         {
             "part": [part],
-            "n_terms": [len(starts)],
+            "n_terms": [len(run_starts)],
             "n_rows": [table.num_rows],
-            "n_postings": [n_postings],
+            "n_postings": [len(terms)],
             "n_docs_partial": [n_docs_partial],
             "tokens_partial": [tokens_partial],
             "elapsed_s": [round(time.monotonic() - t0, 3)],

@@ -1,4 +1,5 @@
 import numpy as np
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +142,135 @@ def test_ef_roundtrip_hypothesis():
         assert len(up) == (v.size + (int(v[-1]) >> l) + 1 + 7) // 8
 
     inner()
+
+
+# --- batched codec ------------------------------------------------------------
+
+
+def _leb128(v: int) -> bytes:
+    """Reference LEB128 encoder, one value at a time."""
+    out = bytearray()
+    while True:
+        byte, v = v & 0x7F, v >> 7
+        out.append(byte | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+
+
+def _ref_row(doc_ids, tfs, dls) -> tuple[bytes, bytes, bytes]:
+    deltas = [doc_ids[0]] + [b - a for a, b in zip(doc_ids, doc_ids[1:])]
+    return tuple(b"".join(_leb128(x) for x in col) for col in (deltas, tfs, dls))
+
+
+_U63 = st.integers(min_value=0, max_value=2**63)
+_row = st.lists(_U63, min_size=1, max_size=12, unique=True).flatmap(
+    lambda ids: st.tuples(
+        st.just(sorted(ids)),
+        st.lists(_U63, min_size=len(ids), max_size=len(ids)),
+        st.lists(_U63, min_size=len(ids), max_size=len(ids)),
+    )
+)
+
+
+def _flat(rows):
+    d = np.array([x for r in rows for x in r[0]], dtype=np.uint64)
+    t = np.array([x for r in rows for x in r[1]], dtype=np.uint64)
+    l = np.array([x for r in rows for x in r[2]], dtype=np.uint64)  # noqa: E741
+    n = np.array([len(r[0]) for r in rows], dtype=np.int64)
+    return d, t, l, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_row, min_size=1, max_size=150), st.data())
+def test_encode_rows_matches_leb128_reference(rows, data):
+    from hybrid_sanctions_search_engine_ray.functions.codec import (
+        decode_rows,
+        encode_rows,
+        varint_counts,
+    )
+
+    d, t, l, n = _flat(rows)
+    docs, tfs, dls = encode_rows(d, t, l, np.cumsum(n) - n)
+    ref = [_ref_row(*r) for r in rows]
+    assert docs.to_pylist() == [r[0] for r in ref]
+    assert tfs.to_pylist() == [r[1] for r in ref]
+    assert dls.to_pylist() == [r[2] for r in ref]
+    # the one-row wrappers are the same codec
+    for r, want in zip(rows[:5], ref):
+        assert encode_posting(*(np.array(c, dtype=np.uint64) for c in r)) == want
+    d2, t2, l2 = decode_rows(docs, tfs, dls, n)
+    assert np.array_equal(d2, d) and np.array_equal(t2, t) and np.array_equal(l2, l)
+    assert np.array_equal(varint_counts(docs), n)
+    # sliced (non-zero offset) and chunked columns decode the same rows
+    k = data.draw(st.integers(0, len(rows) - 1))
+    lo = int(n[:k].sum())
+    assert np.array_equal(varint_counts(docs.slice(k)), n[k:])
+    d3, t3, l3 = decode_rows(docs.slice(k), pa.chunked_array([tfs[:k], tfs[k:]]).slice(k),
+                             dls.slice(k), n[k:])
+    assert np.array_equal(d3, d[lo:]) and np.array_equal(t3, t[lo:]) and np.array_equal(l3, l[lo:])
+
+
+def test_encode_rows_many_one_posting_rows():
+    from hybrid_sanctions_search_engine_ray.functions.codec import decode_rows, encode_rows
+
+    rng = np.random.default_rng(3)
+    d = rng.integers(0, 2**63, size=5000, dtype=np.uint64)
+    t = rng.integers(1, 50, size=5000).astype(np.uint64)
+    docs, tfs, dls = encode_rows(d, t, t, np.arange(5000))
+    assert docs.to_pylist() == [_leb128(int(x)) for x in d]
+    d2, t2, _ = decode_rows(docs, tfs, dls, np.ones(5000, dtype=np.int64))
+    assert np.array_equal(d2, d) and np.array_equal(t2, t)
+
+
+def test_decode_refuses_corrupt_input():
+    import pytest
+
+    from hybrid_sanctions_search_engine_ray.functions.codec import decode_rows, encode_rows
+
+    d = np.array([1, 5, 9], dtype=np.uint64)
+    docs, tfs, dls = encode_rows(d, d, d, [0, 2])
+    with pytest.raises(ValueError, match="n_docs"):
+        decode_rows(docs, tfs, dls, [2, 2])
+    with pytest.raises(ValueError, match="inside a varint"):
+        varint_decode(b"\x05\x80")
+
+
+def _per_term_segment_rows(df, cap):
+    """The per-term build path: sort by (term, doc_id), split each term
+    run every ``cap`` postings, one encode_posting call per row."""
+    rows = []
+    df = df.sort_values(["term", "doc_id"], kind="mergesort")
+    for term, g in df.groupby("term", sort=True):
+        d, t, l = (g[c].to_numpy() for c in ("doc_id", "tf", "dl"))  # noqa: E741
+        for seg, s in enumerate(range(0, len(g), cap)):
+            sl = slice(s, s + cap)
+            rows.append({"term": term, "seg_idx": seg, "n_docs": len(d[sl]),
+                         "cf": int(t[sl].sum()), "max_tf": int(t[sl].max()),
+                         **dict(zip(("docs", "tfs", "dls"), encode_posting(d[sl], t[sl], l[sl])))})
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "bb", "c", "dd", "e", "ff"]),
+                       st.lists(st.integers(0, 10_000), min_size=1, max_size=11, unique=True),
+                       min_size=1),
+       st.randoms(use_true_random=False))
+def test_build_segment_sub_segments_match_per_term_path(postings, rnd):
+    import os
+    import tempfile
+
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from hybrid_sanctions_search_engine_ray.config import EngineConfig
+    from hybrid_sanctions_search_engine_ray.stages.postings import build_segment
+    from hybrid_sanctions_search_engine_ray.state.manifest import segment_dir
+
+    recs = [{"part": 0, "term": term, "doc_id": d, "tf": rnd.randint(1, 9), "dl": rnd.randint(1, 300)}
+            for term, ids in postings.items() for d in ids]
+    rnd.shuffle(recs)
+    df = pd.DataFrame(recs)
+    with tempfile.TemporaryDirectory() as idx:
+        build_segment(df, idx, EngineConfig(max_postings_per_segment=3), "mem")
+        got = pq.read_table(os.path.join(segment_dir(idx, 0), "postings.parquet")).to_pylist()
+    assert got == _per_term_segment_rows(df, 3)

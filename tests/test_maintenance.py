@@ -723,3 +723,108 @@ def test_static_prune_refuses_positional(ray_session, tmp_path):
     idx, _ = _build(tmp_path, "prpos", TEXTS, store_positions=True)
     with _pytest.raises(ValueError, match="positional"):
         static_prune_index(idx, str(tmp_path / "prout"), top_n=1)
+
+
+# --- batched compaction ---------------------------------------------------------
+
+# Crafted so tombstoning docs 3 and 5 empties whole rows ("ghost",
+# "hotel", "kilo", "lima", zulu's second sub-segment) and hits others
+# partly (bravo's and zulu's sub-segments; zulu's max_tf drops 3 → 1).
+COMPACT_TEXTS = [
+    "alpha bravo charlie zulu",
+    "alpha bravo delta",
+    "alpha echo foxtrot",
+    "ghost hotel zulu zulu zulu",
+    "alpha india juliet",
+    "kilo lima ghost bravo zulu",
+    "bravo mike november",
+    "oscar papa quebec",
+    "alpha bravo romeo",
+    "sierra tango uniform",
+    "victor whiskey xray",
+    "yankee alpha oscar",
+]
+COMPACT_DELETED = [3, 5]
+# sha256 over every partition's postings.parquet (in partition order)
+# after compaction, as written by the per-row compactor this batched one
+# replaced; pinned for the parquet writer of this pyarrow version
+COMPACT_PYARROW = "16.1.0"
+COMPACT_DIGEST = "50890dd4590cc4747e57786810ca40430a2a2f324273534b4eb7287ec01c2f16"
+
+
+def _segment_rows(idx: str) -> dict[int, list[dict]]:
+    import pyarrow.parquet as pq
+
+    from hybrid_sanctions_search_engine_ray.state.manifest import segment_dir
+
+    out = {}
+    for p in range(8):
+        f = os.path.join(segment_dir(idx, p), "postings.parquet")
+        if os.path.exists(f):
+            out[p] = pq.read_table(f).to_pylist()
+    return out
+
+
+def test_compaction_drops_empty_rows_and_recomputes_stats(ray_session, tmp_path):
+    import hashlib
+
+    import ray.data as rd
+
+    from oracle import OracleIndex
+
+    from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting
+    from hybrid_sanctions_search_engine_ray.state.manifest import segment_dir
+
+    rows = [{"conv_id": f"conv-{i:08d}", "turn_idx": 0, "role": "user", "text": t,
+             "tool": "", "ts": pd.Timestamp(2026, 1, 1)} for i, t in enumerate(COMPACT_TEXTS)]
+    ds = rd.from_arrow(pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False))
+    idx = str(tmp_path / "bc")
+    acfg = AnalyzerConfig(mode="simple")
+    build_index("mem", idx, EngineConfig(num_partitions=8, max_postings_per_segment=2,
+                                         analyzer=acfg), transcripts_ds=ds)
+    before = _segment_rows(idx)
+
+    def hit(r):
+        return bool(set(decode_posting(r["docs"], r["tfs"], r["dls"])[0].tolist())
+                    & set(COMPACT_DELETED))
+
+    hit_parts = {p for p, rs in before.items() if any(hit(r) for r in rs)}
+    clean_parts = set(before) - hit_parts
+    assert hit_parts and clean_parts
+    inode = {p: os.stat(os.path.join(segment_dir(idx, p), "postings.parquet")).st_ino
+             for p in before}
+    delete_docs(idx, COMPACT_DELETED)
+    compact_index(idx)
+    after = _segment_rows(idx)
+
+    for p in clean_parts:  # no tombstoned posting: the file is not rewritten
+        assert os.stat(os.path.join(segment_dir(idx, p), "postings.parquet")).st_ino == inode[p]
+        assert after[p] == before[p]
+    got = {(r["term"], r["seg_idx"]): r for rs in after.values() for r in rs}
+    for term in ("ghost", "hotel", "kilo", "lima"):
+        assert not [k for k in got if k[0] == term]
+    assert ("zulu", 1) not in got  # its only posting was doc 5
+    for r in got.values():
+        d, t, _ = decode_posting(r["docs"], r["tfs"], r["dls"])
+        assert not set(d.tolist()) & set(COMPACT_DELETED)
+        assert (r["n_docs"], r["cf"], r["max_tf"]) == (d.size, int(t.sum()), int(t.max()))
+    assert (got[("zulu", 0)]["n_docs"], got[("zulu", 0)]["max_tf"]) == (1, 1)
+    assert ("bravo", 1) in got and got[("bravo", 1)]["n_docs"] == 1  # docs 5, 6 → 6
+
+    if pa.__version__ == COMPACT_PYARROW:
+        h = hashlib.sha256()
+        for p in sorted(after):
+            with open(os.path.join(segment_dir(idx, p), "postings.parquet"), "rb") as f:
+                h.update(f.read())
+        assert h.hexdigest() == COMPACT_DIGEST
+
+    oracle = OracleIndex(acfg)
+    for i, t in enumerate(COMPACT_TEXTS):
+        if i not in COMPACT_DELETED:
+            oracle.add(i, t)
+    r = IndexReader(idx)
+    for q in ("alpha bravo", "zulu", "bravo mike", "ghost hotel", "oscar alpha zulu"):
+        docs, scores = r.search_one(q, 10)
+        want = oracle.topk(q, 10)
+        assert docs.tolist() == [d for d, _ in want]
+        assert np.allclose(scores, [s for _, s in want], atol=1e-9)

@@ -332,3 +332,22 @@ def test_similarity_modules_match_direct_formulas(built_index):
 
         empty_d, empty_s = _run("zzzznotaterm", 5)
         assert empty_d.size == 0 and empty_s.size == 0
+
+
+def test_max_top_k_caps_every_search_path(built_index, oracle):
+    """EngineConfig.max_top_k is the cap on a query's top_k: the reader's
+    search methods and the search() actor pool both clamp to it."""
+    import dataclasses
+
+    import ray.data as rd
+
+    index_dir, cfg, _ = built_index
+    reader = IndexReader(index_dir, max_top_k=3)
+    want = [d for d, _ in oracle.topk("payment", 3)]
+    assert reader.search_one("payment", 50)[0].tolist() == want
+    assert reader.search_one_boolean("payment", top_k=50)[0].size == 3
+    assert reader.search_one_lmd("payment", 50)[0].size == 3
+    assert IndexReader(index_dir).search_one("payment", 50)[0].size == 50
+    res = search(rd.from_items([{"query_id": "q", "query_text": "payment", "top_k": 50}]),
+                 index_dir, dataclasses.replace(cfg, max_top_k=3)).to_pandas()
+    assert res.sort_values("rank")["doc_id"].tolist() == want
