@@ -90,9 +90,9 @@ class EngineConfig:
     # BM25 (Elasticsearch defaults; BASELINE.md "BM25 parameters")
     k1: float = 1.2
     b: float = 0.75
-    # top-k defaults (reference: layers/search/contracts.py:62 — default 50, cap 1000)
+    # top-k default (reference: layers/search/contracts.py:62 — default 50;
+    # the cap of 1000 is pipelines/query.MAX_TOP_K)
     top_k: int = 50
-    max_top_k: int = 1000
 
     # Index layout
     num_partitions: int = 64          # term-hash partitions (≈2-4× cores; scale with cluster)

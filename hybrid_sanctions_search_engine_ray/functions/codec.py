@@ -90,7 +90,7 @@ def varint_decode(buf) -> np.ndarray:
     return np.add.reduceat(contrib, starts)
 
 
-def _binary_parts(col) -> tuple[np.ndarray, object]:
+def binary_parts(col) -> tuple[np.ndarray, object]:
     """``(row byte offsets, values buffer)`` of a binary column: every
     row's bytes back to back, without copying, and where each row starts
     in them (offsets from 0, one more than rows). ``col`` is a
@@ -113,10 +113,14 @@ def _binary_parts(col) -> tuple[np.ndarray, object]:
     return o.astype(np.int64) - first, (data.slice(first, last - first) if data is not None else b"")
 
 
-def column_bytes(col):
-    """The contiguous values buffer of a binary column (see
-    :func:`_binary_parts` for what ``col`` may be)."""
-    return _binary_parts(col)[1]
+def _doc_deltas(d: np.ndarray) -> np.ndarray:
+    """Gaps between consecutive uint64 doc ids, the first kept absolute
+    (gaps across a row boundary wrap; :func:`encode_rows` resets them)."""
+    deltas = np.empty_like(d)
+    if d.size:
+        deltas[0] = d[0]
+        np.subtract(d[1:], d[:-1], out=deltas[1:])
+    return deltas
 
 
 def _varint_column(values: np.ndarray, bounds: np.ndarray) -> pa.BinaryArray:
@@ -151,12 +155,10 @@ def encode_rows(doc_ids, tfs, dls, row_starts):
     d = np.ascontiguousarray(doc_ids, dtype=np.uint64)
     starts = np.asarray(row_starts, dtype=np.int64)
     bounds = np.append(starts, d.size)
-    deltas = np.empty_like(d)
+    deltas = _doc_deltas(d)
     if d.size:
-        deltas[0] = d[0]
-        np.subtract(d[1:], d[:-1], out=deltas[1:])  # wraps across rows; reset below
         s = starts[starts < d.size]
-        deltas[s] = d[s]
+        deltas[s] = d[s]  # restart at the absolute id at every row start
     return (
         _varint_column(deltas, bounds),
         None if tfs is None else _varint_column(tfs, bounds),
@@ -168,7 +170,7 @@ def varint_counts(col) -> np.ndarray:
     """Number of varints in each row of a binary column (one terminator
     byte per varint): a segment row's ``n_docs``, read off its docs
     column, for readers that skip the ``n_docs`` column."""
-    offsets, data = _binary_parts(col)
+    offsets, data = binary_parts(col)
     ends = np.zeros(len(data) + 1, dtype=np.int64)
     np.cumsum(np.frombuffer(data, dtype=np.uint8) < 0x80, out=ends[1:])
     return np.diff(ends[offsets])
@@ -178,10 +180,10 @@ def decode_rows(docs, tfs, dls, n_docs):
     """Inverse of :func:`encode_rows` → flat ``(doc_ids, tfs, doclens)``
     uint64 arrays in row order; row ``r`` holds ``n_docs[r]`` postings.
 
-    Columns are anything :func:`column_bytes` accepts; ``tfs`` or ``dls``
+    Columns are anything :func:`binary_parts` accepts; ``tfs`` or ``dls``
     may be ``None`` to skip decoding that column."""
     n = np.asarray(n_docs, dtype=np.int64)
-    deltas = varint_decode(column_bytes(docs))
+    deltas = varint_decode(binary_parts(docs)[1])
     if deltas.size != (total := int(n.sum())):
         raise ValueError(f"decode_rows: docs column holds {deltas.size} postings, n_docs sums to {total}")
     doc_ids = np.cumsum(deltas, dtype=np.uint64)
@@ -193,20 +195,26 @@ def decode_rows(docs, tfs, dls, n_docs):
         doc_ids -= np.repeat(carry, n)
     return (
         doc_ids,
-        None if tfs is None else varint_decode(column_bytes(tfs)),
-        None if dls is None else varint_decode(column_bytes(dls)),
+        None if tfs is None else varint_decode(binary_parts(tfs)[1]),
+        None if dls is None else varint_decode(binary_parts(dls)[1]),
     )
 
 
 def encode_posting(doc_ids: np.ndarray, tfs: np.ndarray, doclens: np.ndarray) -> tuple[bytes, bytes, bytes]:
-    """doc_ids must be sorted ascending & unique. Returns (docs, tfs, dls) buffers."""
-    cols = encode_rows(doc_ids, tfs, doclens, [0])
-    return tuple(c[0].as_py() for c in cols)
+    """doc_ids must be sorted ascending & unique. Returns (docs, tfs, dls)
+    buffers: the one-row case of :func:`encode_rows`, as bytes."""
+    return (
+        varint_encode(_doc_deltas(np.ascontiguousarray(doc_ids, dtype=np.uint64))),
+        varint_encode(tfs),
+        varint_encode(doclens),
+    )
 
 
 def decode_posting(docs_buf: bytes, tfs_buf: bytes, dls_buf: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_posting`. Returns (doc_ids, tfs, doclens)."""
-    return decode_rows(docs_buf, tfs_buf, dls_buf, varint_counts(docs_buf))
+    """Inverse of :func:`encode_posting`. Returns (doc_ids, tfs, doclens):
+    the one-row case of :func:`decode_rows`, whose doc-id running sum
+    never restarts, so the row's postings need not be counted first."""
+    return np.cumsum(varint_decode(docs_buf), dtype=np.uint64), varint_decode(tfs_buf), varint_decode(dls_buf)
 
 
 def encode_positions(flat_positions: np.ndarray, counts: np.ndarray) -> bytes:

@@ -42,7 +42,7 @@ import pyarrow.parquet as pq
 import ray
 
 from hybrid_sanctions_search_engine_ray.functions.codec import (
-    column_bytes,
+    binary_parts,
     decode_posting,
     decode_positions,
     decode_rows,
@@ -152,7 +152,7 @@ def _compact_part(index_dir: str, part: int, tomb: np.ndarray, positional: bool)
         }
         if positional:
             # positions stay re-encoded per row (no workload is bound by them)
-            flat, _ = decode_positions(column_bytes(tbl["poss"]), t)
+            flat, _ = decode_positions(binary_parts(tbl["poss"])[1], t)
             flat_k = flat[np.repeat(keep, t.astype(np.int64))]
             pos_bounds = np.concatenate(([0], np.cumsum(tk, dtype=np.int64)))
             cols["poss"] = pa.array(

@@ -50,13 +50,15 @@ RESULT_SCHEMA = pa.schema(
     ]
 )
 
+# cap on a query's top_k (reference contracts.py:62 — default 50, max 1000)
+MAX_TOP_K = 1000
+
 
 class IndexReader:
     """Loads manifest once; reads + caches decoded postings on demand."""
 
     def __init__(self, index_dir: str, search_mode: str | None = None,
-                 pit_id: str | None = None,
-                 max_top_k: int = DEFAULT_CONFIG.max_top_k):
+                 pit_id: str | None = None):
         """``search_mode`` overrides the QUERY-side analyzer only (ES
         search_analyzer): the edge-ngram (autocomplete) field indexes
         prefixes but queries with plain tokens — reference
@@ -64,8 +66,7 @@ class IndexReader:
         against the edge_ngram subfield). ``pit_id`` pins visibility to
         a point-in-time snapshot (maintenance.open_point_in_time):
         deletes issued after the pit was opened stay visible to this
-        reader — the ES PIT consistency contract. ``max_top_k`` caps every
-        search's ``top_k`` (EngineConfig.max_top_k)."""
+        reader — the ES PIT consistency contract."""
         self.index_dir = index_dir
         self.manifest = IndexManifest.load(index_dir)
         if self.manifest.status != "complete":
@@ -77,7 +78,6 @@ class IndexReader:
             block_size=self.manifest.block_size,
             num_partitions=self.manifest.num_partitions,
             hot_term_salt_buckets=self.manifest.hot_term_salt_buckets,
-            max_top_k=max_top_k,
             analyzer=AnalyzerConfig(
                 mode=self.manifest.analyzer_mode,
                 remove_stopwords=self.manifest.remove_stopwords,
@@ -128,80 +128,64 @@ class IndexReader:
         need = sorted({t for t in terms if t not in self._postings})
         if need:
             by_part: dict[int, list[str]] = {}
-            parts_left: dict[str, int] = {}
             for t in need:
-                parts = self._parts_for(t)
-                parts_left[t] = len(parts)
-                for p in parts:
+                for p in self._parts_for(t):
                     by_part.setdefault(p, []).append(t)
-            tables = {}
-            for part in sorted(by_part):
+            tables = []
+            for part, ts in sorted(by_part.items()):
                 f = os.path.join(segment_dir(self.index_dir, part), "postings.parquet")
                 if os.path.exists(f):
-                    tables[part] = pads.dataset(f).to_table(
-                        filter=pads.field("term").isin(by_part[part]),
+                    tables.append((part, pads.dataset(f).to_table(
+                        filter=pads.field("term").isin(ts),
                         columns=["term", "seg_idx", "docs", "tfs", "dls"],
-                    )
-            # decode after every read (measured faster than decoding each
-            # table as it arrives), one partition at a time; a term is
-            # finished as soon as its last partition is decoded, so at most
-            # one partition's decoded arrays are held at a time
+                    )))
+            # one batched decode per partition table, after all the reads
+            # (measured faster than decoding each table as it arrives)
             segs: dict[str, list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]] = {}
-            for part, ts in sorted(by_part.items()):
-                tbl = tables.pop(part, None)
-                if tbl is not None:
-                    # row lengths from the docs bytes: cheaper than reading n_docs
-                    n = varint_counts(tbl["docs"])
-                    d, tf, dl = decode_rows(tbl["docs"], tbl["tfs"], tbl["dls"], n)
-                    start = 0
-                    for term, seg, end in zip(tbl["term"].to_pylist(), tbl["seg_idx"].to_pylist(),
-                                              np.cumsum(n).tolist()):
-                        row = (d[start:end], tf[start:end], dl[start:end])
-                        if parts_left[term] > 1:  # don't pin this partition's arrays
-                            row = tuple(x.copy() for x in row)
-                        segs.setdefault(term, []).append((part, seg) + row)
-                        start = end
-                for t in ts:
-                    parts_left[t] -= 1
-                    if not parts_left[t]:
-                        self._cache_term(t, segs.pop(t, None))
+            for part, tbl in tables:
+                # row lengths from the docs bytes: cheaper than reading n_docs
+                n = varint_counts(tbl["docs"])
+                d, tf, dl = decode_rows(tbl["docs"], tbl["tfs"], tbl["dls"], n)
+                ends = np.cumsum(n).tolist()
+                for term, seg, start, end in zip(tbl["term"].to_pylist(), tbl["seg_idx"].to_pylist(),
+                                                 [0] + ends[:-1], ends):
+                    segs.setdefault(term, []).append((part, seg, d[start:end], tf[start:end], dl[start:end]))
+            del tables
+            m = self.manifest
+            for t in need:
+                rows = segs.pop(t, None)
+                if not rows:
+                    self._postings.setdefault(t, None)
+                    self._raw.setdefault(t, None)
+                    continue
+                rows.sort(key=lambda s: (s[0], s[1]))
+                doc_ids = np.concatenate([s[2] for s in rows])
+                tfs = np.concatenate([s[3] for s in rows])
+                dls = np.concatenate([s[4] for s in rows])
+                order = np.argsort(doc_ids, kind="stable")
+                doc_ids, tfs, dls = doc_ids[order], tfs[order], dls[order]
+                df = int(doc_ids.size)  # exact; counts tombstoned docs until compaction
+                # _raw stays UNFILTERED — it is the federation's df/score
+                # evidence (pipelines/federated.py applies each shard's
+                # tombstones itself, keeping federated == direct)
+                self._raw[t] = (doc_ids, tfs, dls)
+                if self.tombstones.size:
+                    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import (
+                        tombstone_mask,
+                    )
+
+                    hit = tombstone_mask(self.tombstones, doc_ids)
+                    if hit.any():
+                        keep = ~hit
+                        doc_ids, tfs, dls = doc_ids[keep], tfs[keep], dls[keep]
+                if doc_ids.size == 0:  # every posting tombstoned
+                    self._postings[t] = None
+                    continue
+                factors = tf_factor(tfs, dls, m.k1, m.b, m.avgdl)
+                self._postings[t] = TermPosting(
+                    t, float(idf(m.n_docs, df)), doc_ids, factors, m.block_size
+                )
         return {t: p for t in terms if (p := self._postings.get(t)) is not None}
-
-    def _cache_term(self, t: str, segs) -> None:
-        """Merge one term's decoded sub-segments in (part, seg_idx) order,
-        re-sort by doc id (stable) and cache the raw and scored postings."""
-        if not segs:
-            self._postings.setdefault(t, None)
-            self._raw.setdefault(t, None)
-            return
-        segs.sort(key=lambda s: (s[0], s[1]))
-        doc_ids = np.concatenate([s[2] for s in segs])
-        tfs = np.concatenate([s[3] for s in segs])
-        dls = np.concatenate([s[4] for s in segs])
-        order = np.argsort(doc_ids, kind="stable")
-        doc_ids, tfs, dls = doc_ids[order], tfs[order], dls[order]
-        df = int(doc_ids.size)  # exact; counts tombstoned docs until compaction
-        # _raw stays UNFILTERED — it is the federation's df/score
-        # evidence (pipelines/federated.py applies each shard's
-        # tombstones itself, keeping federated == direct)
-        self._raw[t] = (doc_ids, tfs, dls)
-        if self.tombstones.size:
-            from hybrid_sanctions_search_engine_ray.pipelines.maintenance import (
-                tombstone_mask,
-            )
-
-            hit = tombstone_mask(self.tombstones, doc_ids)
-            if hit.any():
-                keep = ~hit
-                doc_ids, tfs, dls = doc_ids[keep], tfs[keep], dls[keep]
-        if doc_ids.size == 0:  # every posting tombstoned
-            self._postings[t] = None
-            return
-        m = self.manifest
-        factors = tf_factor(tfs, dls, m.k1, m.b, m.avgdl)
-        self._postings[t] = TermPosting(
-            t, float(idf(m.n_docs, df)), doc_ids, factors, m.block_size
-        )
 
     def load_positions(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Positional postings for one term (requires an index built with
@@ -256,8 +240,8 @@ class IndexReader:
 
     # --- scoring ------------------------------------------------------------
     def search_one(self, query_text: str, top_k: int, method: str = "maxscore") -> tuple[np.ndarray, np.ndarray]:
-        # clamp to the configured cap (reference contracts.py:62 — max 1000)
-        top_k = max(1, min(int(top_k), self.cfg.max_top_k))
+        # clamp to the reference's cap (contracts.py:62 — default 50, max 1000)
+        top_k = max(1, min(int(top_k), MAX_TOP_K))
         terms = sorted(set(self.analyzer(query_text)))
         postings = list(self.load_postings(terms).values())
         if method == "bmw":
@@ -275,7 +259,7 @@ class IndexReader:
         one term's decoded posting arrays and returns per-posting
         scores; non-positive per-term scores are dropped (the Lucene
         clamp — a no-op for kernels that are strictly positive)."""
-        top_k = max(1, min(int(top_k), self.cfg.max_top_k))
+        top_k = max(1, min(int(top_k), MAX_TOP_K))
         terms = sorted(set(self.analyzer(query_text)))
         # one partition-grouped read for ALL terms (the BM25 path's
         # batching — not a per-term parquet scan), which also fills _raw
@@ -472,7 +456,7 @@ class IndexReader:
             topk_desc_after,
         )
 
-        top_k = max(1, min(int(top_k), self.cfg.max_top_k))
+        top_k = max(1, min(int(top_k), MAX_TOP_K))
         terms = sorted(set(self.analyzer(query_text)))
         postings = list(self.load_postings(terms).values())
         docs, scores = score_all(postings)
@@ -491,7 +475,7 @@ class IndexReader:
         least that many DISTINCT should terms (with no must clause it is
         effectively max(min_should_match, 1)).
         Returns (doc_ids, scores) ranked (score desc, doc_id asc)."""
-        top_k = max(1, min(int(top_k), self.cfg.max_top_k))
+        top_k = max(1, min(int(top_k), MAX_TOP_K))
         must = sorted(set(self.analyzer(must_text)))
         should = sorted(set(self.analyzer(should_text)) - set(must))
         excl = sorted(set(self.analyzer(not_text)))
@@ -547,9 +531,8 @@ def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
 class BM25Scorer:
     """Actor-pool callable: a batch of query rows → top-k result rows."""
 
-    def __init__(self, index_dir: str, default_top_k: int = 50, method: str = "maxscore",
-                 max_top_k: int = DEFAULT_CONFIG.max_top_k):
-        self.reader = IndexReader(index_dir, max_top_k=max_top_k)
+    def __init__(self, index_dir: str, default_top_k: int = 50, method: str = "maxscore"):
+        self.reader = IndexReader(index_dir)
         self.default_top_k = default_top_k
         self.method = method
 
@@ -584,7 +567,7 @@ def search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG, metho
     """Queries Dataset (query_id, query_text[, top_k]) → results Dataset."""
     return queries_ds.map_batches(
         BM25Scorer,
-        fn_constructor_args=(index_dir, cfg.top_k, method, cfg.max_top_k),
+        fn_constructor_args=(index_dir, cfg.top_k, method),
         batch_format="pandas",
         batch_size=cfg.score_batch_size,
         concurrency=cfg.scorer_concurrency,
@@ -595,9 +578,8 @@ class BooleanScorer:
     """Actor-pool callable for bool queries: batch rows
     (query_id, must[, should, must_not, top_k]) → top-k result rows."""
 
-    def __init__(self, index_dir: str, default_top_k: int = 50, search_mode: str | None = None,
-                 max_top_k: int = DEFAULT_CONFIG.max_top_k):
-        self.reader = IndexReader(index_dir, search_mode=search_mode, max_top_k=max_top_k)
+    def __init__(self, index_dir: str, default_top_k: int = 50, search_mode: str | None = None):
+        self.reader = IndexReader(index_dir, search_mode=search_mode)
         self.default_top_k = default_top_k
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
@@ -647,7 +629,7 @@ def boolean_search(
     query-side analyzer (prefix search = plain tokens vs an edge index)."""
     return queries_ds.map_batches(
         BooleanScorer,
-        fn_constructor_args=(index_dir, cfg.top_k, search_mode, cfg.max_top_k),
+        fn_constructor_args=(index_dir, cfg.top_k, search_mode),
         batch_format="pandas",
         batch_size=cfg.score_batch_size,
         concurrency=cfg.scorer_concurrency,

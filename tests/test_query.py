@@ -334,20 +334,16 @@ def test_similarity_modules_match_direct_formulas(built_index):
         assert empty_d.size == 0 and empty_s.size == 0
 
 
-def test_max_top_k_caps_every_search_path(built_index, oracle):
-    """EngineConfig.max_top_k is the cap on a query's top_k: the reader's
-    search methods and the search() actor pool both clamp to it."""
-    import dataclasses
+def test_max_top_k_caps_every_search_path(built_index, oracle, monkeypatch):
+    """query.MAX_TOP_K is the cap on a query's top_k: every reader search
+    method clamps to it."""
+    from hybrid_sanctions_search_engine_ray.pipelines import query
 
-    import ray.data as rd
-
-    index_dir, cfg, _ = built_index
-    reader = IndexReader(index_dir, max_top_k=3)
-    want = [d for d, _ in oracle.topk("payment", 3)]
-    assert reader.search_one("payment", 50)[0].tolist() == want
+    index_dir, _, _ = built_index
+    reader = IndexReader(index_dir)
+    assert reader.search_one("payment", 50)[0].size == 50
+    monkeypatch.setattr(query, "MAX_TOP_K", 3)
+    assert reader.search_one("payment", 50)[0].tolist() == [d for d, _ in oracle.topk("payment", 3)]
     assert reader.search_one_boolean("payment", top_k=50)[0].size == 3
     assert reader.search_one_lmd("payment", 50)[0].size == 3
-    assert IndexReader(index_dir).search_one("payment", 50)[0].size == 50
-    res = search(rd.from_items([{"query_id": "q", "query_text": "payment", "top_k": 50}]),
-                 index_dir, dataclasses.replace(cfg, max_top_k=3)).to_pandas()
-    assert res.sort_values("rank")["doc_id"].tolist() == want
+    assert reader.search_one_after("payment", 50, float("inf"), -1)[0].size == 3
