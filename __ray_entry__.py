@@ -706,7 +706,7 @@ def q_postings_bytes(sf_dir: str):
     from hybrid_sanctions_search_engine_ray.config import AnalyzerConfig, EngineConfig
     from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
     from hybrid_sanctions_search_engine_ray.sources.transcripts import transcripts_from_documents
-    from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
+    from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE, IndexManifest
 
     from hybrid_sanctions_search_engine_ray import __version__ as _fmt
 
@@ -726,7 +726,7 @@ def q_postings_bytes(sf_dir: str):
     import glob as _glob
 
     seg_files = sorted(_glob.glob(
-        os.path.join(index_dir, "segments", "part=*", "postings.parquet")))
+        os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
     segs = rd.read_parquet(
         seg_files, columns=["term", "seg_idx", "n_docs", "docs", "tfs", "dls"])
 
@@ -1028,6 +1028,7 @@ def q_posting_gaps(sf_dir: str):
     import ray.data as rd
 
     from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting
+    from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE
 
     from hybrid_sanctions_search_engine_ray import __version__ as _fmt
 
@@ -1035,7 +1036,7 @@ def q_posting_gaps(sf_dir: str):
     tag = os.path.basename(os.path.normpath(sf_dir))
     index_dir = f"/tmp/graft_idx_cache/{_fmt}/{tag}-coldonly"
     seg_files = sorted(_glob.glob(
-        os.path.join(index_dir, "segments", "part=*", "postings.parquet")))
+        os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
     segs = rd.read_parquet(seg_files, columns=["term", "docs", "tfs", "dls"])
 
     def stats(b: pa.Table) -> pa.Table:
@@ -2579,7 +2580,7 @@ def q_ef_bytes(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting, ef_encode
-    from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
+    from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE, IndexManifest
 
     from hybrid_sanctions_search_engine_ray import __version__ as _fmt
 
@@ -2589,7 +2590,7 @@ def q_ef_bytes(sf_dir: str):
     universe = IndexManifest.load(index_dir).n_docs
 
     seg_files = sorted(_glob.glob(
-        os.path.join(index_dir, "segments", "part=*", "postings.parquet")))
+        os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
     segs = rd.read_parquet(
         seg_files, columns=["term", "seg_idx", "docs", "tfs", "dls"])
 

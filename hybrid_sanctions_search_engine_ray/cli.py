@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     q.add_argument("--index", required=True)
     q.add_argument("--query", required=True)
     q.add_argument("--top-k", type=int, default=10)
-    q.add_argument("--method", choices=["maxscore", "taat", "bmw"], default="maxscore")
+    q.add_argument("--method", choices=["maxscore", "taat"], default="maxscore")
     q.add_argument("--with-docmap", action="store_true")
     q.add_argument("--phrase", action="store_true", help="exact phrase query")
 

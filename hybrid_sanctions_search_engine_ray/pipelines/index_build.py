@@ -46,7 +46,7 @@ from hybrid_sanctions_search_engine_ray.state.manifest import (
     IndexManifest,
     atomic_write_json,
     completed_parts,
-    segment_dir,
+    segment_file,
 )
 
 
@@ -293,18 +293,7 @@ def build_index(
     files are already globally sorted (e.g. the shard-per-conv-range
     layout ``generate_transcripts`` writes). The docid-invariant test
     guards this equivalence (tests/test_index_build.py)."""
-    import time
-
     import ray.data as rd
-
-    _t0 = time.monotonic()
-    _timing = os.environ.get("GRAFT_BUILD_TIMINGS") == "1"
-
-    def _mark(label: str) -> None:
-        nonlocal _t0
-        if _timing:
-            print(f"[build {label}] {time.monotonic() - _t0:.2f}s", flush=True)
-        _t0 = time.monotonic()
 
     os.makedirs(index_dir, exist_ok=True)
     ds = transcripts_ds if transcripts_ds is not None else rd.read_parquet(input_path)
@@ -360,7 +349,6 @@ def build_index(
             _docmap_future = _docmap_pool.submit(
                 _deferred_docmap, lambda p: ds.select_columns(docmap_cols).write_parquet(p)
             )
-        _mark("docmap")
     elif assume_sorted and transcripts_ds is None:
         # Already-sorted shard layout on disk: ids from parquet FOOTER
         # prefix sums — no checkpoint rewrite, no extra corpus I/O. This
@@ -394,14 +382,12 @@ def build_index(
                     _deferred_docmap,
                     lambda p: read_sorted_parquet_with_ids(input_path, docmap_cols).write_parquet(p),
                 )
-        _mark("docmap")
     else:
         use_checkpoint = True
         if not (have_partial and corpus_checkpoint_complete(docmap_path)):
             checkpoint_corpus_with_ids(ds, docmap_path, sort=not assume_sorted,
                                        sample_dir=sample_path,
                                        extra_cols=tuple(_lang_extra))
-        _mark("doc_ids")
         corpus_files = sorted(
             os.path.join(docmap_path, f) for f in os.listdir(docmap_path) if f.endswith(".parquet")
         )
@@ -411,7 +397,6 @@ def build_index(
             )
         ds = rd.read_parquet(corpus_files,
                              columns=["doc_id", "conv_id", "text"] + _lang_extra)
-        _mark("docmap")
 
     # --- hot-term pre-pass: tokenize only the deterministic 2% conv
     # sample (pure function of conv_id → identical across batchings,
@@ -540,7 +525,6 @@ def build_index(
             input_path=input_path,
         )
         manifest.save(index_dir)
-    _mark("hot_prepass")
 
     hot = frozenset(manifest.hot_terms)
 
@@ -590,7 +574,6 @@ def build_index(
         batch_format="pandas",
     )
     lineage_rows = lineage.take_all()  # small: one row per partition
-    _mark("segments")
 
     import json as _json
 
@@ -628,7 +611,6 @@ def build_index(
     if _docmap_future is not None:
         _docmap_future.result()
     _docmap_pool.shutdown(wait=False)
-    _mark("docmap_join")
 
     manifest.status = "complete"
     manifest.save(index_dir)
@@ -716,7 +698,7 @@ def write_dictionary(index_dir: str) -> str:
     from ray.data.aggregate import Sum
 
     done_meta = completed_parts(index_dir)
-    seg_files = [os.path.join(segment_dir(index_dir, p), "postings.parquet") for p in sorted(done_meta)]
+    seg_files = [segment_file(index_dir, p) for p in sorted(done_meta)]
     dict_ds = (
         rd.read_parquet(seg_files, columns=["term", "n_docs", "cf"])
         .groupby("term")

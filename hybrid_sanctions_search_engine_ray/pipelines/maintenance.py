@@ -52,9 +52,11 @@ from hybrid_sanctions_search_engine_ray.functions.codec import (
 )
 from hybrid_sanctions_search_engine_ray.stages.postings import write_segment
 from hybrid_sanctions_search_engine_ray.state.manifest import (
+    SEGMENT_FILE,
     IndexManifest,
     atomic_write_json,
     segment_dir,
+    segment_file,
 )
 
 _TOMBSTONE_FILE = "tombstones.json"
@@ -104,7 +106,7 @@ def delete_docs(index_dir: str, doc_ids: Iterable[int]) -> int:
 def _scan_part_removed(index_dir: str, part: int, tomb: np.ndarray) -> dict:
     """Read-only: {doc_id: dl} of tombstoned postings in this partition
     (decodes only the docs/dls columns, never rewrites anything)."""
-    f = os.path.join(segment_dir(index_dir, part), "postings.parquet")
+    f = segment_file(index_dir, part)
     if not os.path.exists(f):
         return {}
     tbl = pq.read_table(f, columns=["n_docs", "docs", "dls"])
@@ -121,7 +123,7 @@ def _compact_part(index_dir: str, part: int, tomb: np.ndarray, positional: bool)
     re-encode to their original bytes. Partitions with no tombstoned
     posting are not rewritten; idempotent for a fixed tombstone set."""
     sdir = segment_dir(index_dir, part)
-    f = os.path.join(sdir, "postings.parquet")
+    f = os.path.join(sdir, SEGMENT_FILE)
     if not os.path.exists(f):
         return {"n_terms": 0, "n_rows": 0, "n_postings": 0, "rewritten": False}
     tbl = pq.read_table(f)
@@ -294,7 +296,7 @@ def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
     t0 = time.monotonic()
     tables = []
     for src_dir, offset in srcs:
-        f = os.path.join(segment_dir(src_dir, part), "postings.parquet")
+        f = segment_file(src_dir, part)
         if not os.path.exists(f):
             continue
         tbl = pq.read_table(f)
@@ -634,7 +636,7 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
 
     files = []
     for p in range(m.num_partitions):
-        f = os.path.join(segment_dir(index_dir, p), "postings.parquet")
+        f = segment_file(index_dir, p)
         if os.path.exists(f):
             files.append(f)
     ds = rd.read_parquet(files, include_paths=True)
@@ -671,7 +673,7 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
         if str(p) not in parts_meta:
             sdir = segment_dir(out_dir, p)
             os.makedirs(sdir, exist_ok=True)
-            final = os.path.join(sdir, "postings.parquet")
+            final = os.path.join(sdir, SEGMENT_FILE)
             if not os.path.exists(final):
                 pq.write_table(schema.empty_table(), final)
             meta = {"part": p, "n_terms": 0, "n_rows": 0, "n_postings": 0,
@@ -731,7 +733,7 @@ def snapshot_index(index_dir: str, snap_dir: str) -> dict:
     verified = []
     for p in range(m.num_partitions):
         src = segment_dir(index_dir, p)
-        f = os.path.join(src, "postings.parquet")
+        f = os.path.join(src, SEGMENT_FILE)
         meta_f = os.path.join(src, "meta.json")
         if not os.path.exists(f):
             continue
@@ -746,7 +748,7 @@ def snapshot_index(index_dir: str, snap_dir: str) -> dict:
             raise ValueError(f"partition {p} checksum mismatch — refusing to snapshot corruption")
         dst = segment_dir(snap_dir, p)
         os.makedirs(dst, exist_ok=True)
-        shutil.copy2(f, os.path.join(dst, "postings.parquet"))
+        shutil.copy2(f, os.path.join(dst, SEGMENT_FILE))
         shutil.copy2(meta_f, os.path.join(dst, "meta.json"))
         verified.append(p)
     dm_src = os.path.join(index_dir, "docmap.parquet")
@@ -780,7 +782,7 @@ def restore_index(snap_dir: str, out_dir: str) -> IndexManifest:
     os.makedirs(out_dir, exist_ok=True)
     for p in range(m.num_partitions):
         src = segment_dir(snap_dir, p)
-        f = os.path.join(src, "postings.parquet")
+        f = os.path.join(src, SEGMENT_FILE)
         if not os.path.exists(f):
             continue
         with open(os.path.join(src, "meta.json")) as fh:
@@ -792,7 +794,7 @@ def restore_index(snap_dir: str, out_dir: str) -> IndexManifest:
             raise ValueError(f"snapshot partition {p} is corrupt — aborting restore")
         dst = segment_dir(out_dir, p)
         os.makedirs(dst, exist_ok=True)
-        shutil.copy2(f, os.path.join(dst, "postings.parquet"))
+        shutil.copy2(f, os.path.join(dst, SEGMENT_FILE))
         shutil.copy2(os.path.join(src, "meta.json"), os.path.join(dst, "meta.json"))
     if os.path.isdir(os.path.join(snap_dir, "docmap.parquet")):
         shutil.copytree(os.path.join(snap_dir, "docmap.parquet"),
@@ -1057,7 +1059,7 @@ def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> dict:
     """Rewrite one partition keeping each term's ``top_n``
     highest-impact postings (tf desc, doc_id asc tie-break); lists
     already within the budget are copied as zero-copy row slices."""
-    src = os.path.join(segment_dir(index_dir, part), "postings.parquet")
+    src = segment_file(index_dir, part)
     sdir = segment_dir(out_dir, part)
     os.makedirs(sdir, exist_ok=True)
     if not os.path.exists(src):
@@ -1069,7 +1071,7 @@ def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> dict:
         with open(meta_path) as mf:
             meta = json.load(mf)
         if meta.get("pruned_top_n") == top_n and \
-                os.path.exists(os.path.join(sdir, "postings.parquet")):
+                os.path.exists(os.path.join(sdir, SEGMENT_FILE)):
             return {"part": part, "n_terms": meta["n_terms"],
                     "n_rows": meta["n_rows"], "n_postings": meta["n_postings"]}
     tbl = pq.read_table(src)

@@ -21,11 +21,11 @@ broken (score desc, doc_id asc); optional docmap join re-attaches
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pyarrow.dataset as pads
 
 from hybrid_sanctions_search_engine_ray.config import DEFAULT_CONFIG, AnalyzerConfig, EngineConfig
@@ -33,21 +33,18 @@ from hybrid_sanctions_search_engine_ray.functions.analyzer import get_analyzer
 from hybrid_sanctions_search_engine_ray.functions.bm25 import (
     TermPosting,
     idf,
+    score_all,
     score_maxscore,
     score_taat,
     tf_factor,
+    topk_desc,
 )
 from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting, decode_rows, varint_counts
 from hybrid_sanctions_search_engine_ray.functions.hashing import term_hash
-from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest, segment_dir
-
-RESULT_SCHEMA = pa.schema(
-    [
-        ("query_id", pa.string()),
-        ("rank", pa.int32()),
-        ("doc_id", pa.int64()),
-        ("score", pa.float64()),
-    ]
+from hybrid_sanctions_search_engine_ray.state.manifest import (
+    IndexManifest,
+    analyzer_from_manifest,
+    segment_file,
 )
 
 # cap on a query's top_k (reference contracts.py:62 — default 50, max 1000)
@@ -78,20 +75,9 @@ class IndexReader:
             block_size=self.manifest.block_size,
             num_partitions=self.manifest.num_partitions,
             hot_term_salt_buckets=self.manifest.hot_term_salt_buckets,
-            analyzer=AnalyzerConfig(
-                mode=self.manifest.analyzer_mode,
-                remove_stopwords=self.manifest.remove_stopwords,
-                stem=self.manifest.stem,
-                dedup_tokens=self.manifest.dedup_tokens,
-                min_token_len=self.manifest.min_token_len,
-                max_token_len=self.manifest.max_token_len,
-                # query strings have no language column — keep the
-                # per-string script detection for the case rule
-                lang_split_case=self.manifest.lang_split_case,
-                # the name-field consent gate ran at build time; a reader
-                # reconstructing the build analyzer must not re-warn
-                name_field=self.manifest.stem.endswith("_names"),
-            ),
+            # query strings have no language column — keep the per-string
+            # script detection for the case rule
+            analyzer=dataclasses.replace(analyzer_from_manifest(self.manifest), lang_col=None),
         )
         self.analyzer = get_analyzer(
             AnalyzerConfig(mode=search_mode) if search_mode else self.cfg.analyzer
@@ -133,7 +119,7 @@ class IndexReader:
                     by_part.setdefault(p, []).append(t)
             tables = []
             for part, ts in sorted(by_part.items()):
-                f = os.path.join(segment_dir(self.index_dir, part), "postings.parquet")
+                f = segment_file(self.index_dir, part)
                 if os.path.exists(f):
                     tables.append((part, pads.dataset(f).to_table(
                         filter=pads.field("term").isin(ts),
@@ -197,7 +183,7 @@ class IndexReader:
 
         segs: list[tuple[int, int, np.ndarray, np.ndarray, list[np.ndarray]]] = []
         for part in self._parts_for(term):
-            f = os.path.join(segment_dir(self.index_dir, part), "postings.parquet")
+            f = segment_file(self.index_dir, part)
             if not os.path.exists(f):
                 continue
             tbl = pads.dataset(f).to_table(
@@ -244,10 +230,6 @@ class IndexReader:
         top_k = max(1, min(int(top_k), MAX_TOP_K))
         terms = sorted(set(self.analyzer(query_text)))
         postings = list(self.load_postings(terms).values())
-        if method == "bmw":
-            from hybrid_sanctions_search_engine_ray.functions.bm25 import score_bmw
-
-            return score_bmw(postings, top_k)
         fn = score_maxscore if method == "maxscore" else score_taat
         return fn(postings, top_k)
 
@@ -451,10 +433,7 @@ class IndexReader:
         (``search(..., method="taat")``): MaxScore's different summation
         order drifts scores by 1 ulp, which breaks the exact-float
         equality the tuple filter relies on."""
-        from hybrid_sanctions_search_engine_ray.functions.bm25 import (
-            score_all,
-            topk_desc_after,
-        )
+        from hybrid_sanctions_search_engine_ray.functions.bm25 import topk_desc_after
 
         top_k = max(1, min(int(top_k), MAX_TOP_K))
         terms = sorted(set(self.analyzer(query_text)))
@@ -528,95 +507,136 @@ def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return ok
 
 
-class BM25Scorer:
-    """Actor-pool callable: a batch of query rows → top-k result rows."""
+# Result columns of a scorer, name → dtype. ``str`` marks the query-id
+# column: ids go through pandas' string dtype and come back as Python
+# objects, so every frame (empty or not) has the same dtypes.
+RESULT_COLUMNS = {"query_id": str, "rank": np.int32, "doc_id": np.int64, "score": np.float64}
 
-    def __init__(self, index_dir: str, default_top_k: int = 50, method: str = "maxscore"):
-        self.reader = IndexReader(index_dir)
+
+def _result_frame(columns: dict = RESULT_COLUMNS, values: list | None = None) -> pd.DataFrame:
+    """One result frame: ``values`` holds a sequence per entry of
+    ``columns``; ``None`` gives the empty frame."""
+    if values is None:
+        values = [[]] * len(columns)
+    return pd.DataFrame({
+        name: (pd.Series(v, dtype="string[python]").astype(object) if dtype is str
+               else pd.Series(v, dtype=dtype))
+        for (name, dtype), v in zip(columns.items(), values)
+    })
+
+
+def load_terms(reader: IndexReader, texts) -> None:
+    """Load, in one pass, the postings of every term the texts analyze to."""
+    union: set[str] = set()
+    for text in texts:
+        union.update(reader.analyzer(text))
+    reader.load_postings(sorted(union))
+
+
+class Scorer:
+    """Base of the scorer actors that :func:`map_scorer` runs over a
+    Dataset of query rows. The actor opens its reader once; per batch it
+    preloads the postings of every row's terms in one pass (one read of
+    each touched partition file instead of one per row), then scores the
+    rows one at a time with :meth:`hits` and returns one result frame.
+
+    ``hits(row, k)`` gets the row as a dict and its ``k`` (the row's
+    ``top_k``, else ``default_top_k``); it returns ``None`` or one
+    sequence per entry of ``columns`` after the first (the id column,
+    copied from the batch). A leading ``rank`` column may be left out:
+    it then counts 1..n."""
+
+    columns = RESULT_COLUMNS
+    text_cols: tuple[str, ...] = ("query_text",)
+
+    def __init__(self, index_dir: str, default_top_k: int = 10, search_mode: str | None = None):
+        self.reader = IndexReader(index_dir, search_mode=search_mode)
         self.default_top_k = default_top_k
-        self.method = method
+
+    def preload(self, rows: list[dict]) -> None:
+        load_terms(self.reader, (row[c] for row in rows for c in self.text_cols))
+
+    def score_text(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """Exhaustive (TAAT) scores of every doc that matches at least
+        one of the text's terms, unranked."""
+        terms = sorted(set(self.reader.analyzer(text)))
+        return score_all(list(self.reader.load_postings(terms).values()))
+
+    def hits(self, row: dict, k: int):
+        raise NotImplementedError
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        # pre-load postings for the whole batch's term union: one pass over
-        # each touched partition file instead of one per query
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            docs, scores = self.reader.search_one(qtext, k, self.method)
-            n = docs.size
-            out["query_id"].extend([qid] * n)
-            out["rank"].extend(range(1, n + 1))
-            out["doc_id"].extend(docs.astype(np.int64).tolist())
-            out["score"].extend(scores.tolist())
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out["query_id"], dtype="string[python]").astype(object),
-                "rank": pd.Series(out["rank"], dtype=np.int32),
-                "doc_id": pd.Series(out["doc_id"], dtype=np.int64),
-                "score": pd.Series(out["score"], dtype=np.float64),
-            }
-        )
+        names = list(batch.columns)
+        rows = [dict(zip(names, vals)) for vals in zip(*(batch[c].tolist() for c in names))]
+        self.preload(rows)
+        n_cols = len(self.columns) - 1
+        counts: list[int] = []
+        parts: list[list] = [[] for _ in range(n_cols)]
+        for row in rows:
+            got = self.hits(row, int(row["top_k"]) if "top_k" in row else self.default_top_k)
+            n = len(got[0]) if got is not None else 0
+            counts.append(n)
+            if n:
+                if len(got) < n_cols:
+                    got = (np.arange(1, n + 1), *got)
+                for part, vals in zip(parts, got):
+                    part.append(vals)
+        if not any(counts):
+            return _result_frame(self.columns)
+        ids = np.repeat(batch[next(iter(self.columns))].to_numpy(), counts)
+        return _result_frame(self.columns, [ids, *(np.concatenate(p) for p in parts)])
 
 
-def search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG, method: str = "maxscore"):
-    """Queries Dataset (query_id, query_text[, top_k]) → results Dataset."""
-    return queries_ds.map_batches(
-        BM25Scorer,
-        fn_constructor_args=(index_dir, cfg.top_k, method),
+def map_scorer(ds, scorer: type, cfg: EngineConfig, *args):
+    """Run ``scorer(*args)`` as an actor pool over ``ds``: pandas batches
+    of ``cfg.score_batch_size`` rows, ``cfg.scorer_concurrency`` actors."""
+    return ds.map_batches(
+        scorer,
+        fn_constructor_args=args,
         batch_format="pandas",
         batch_size=cfg.score_batch_size,
         concurrency=cfg.scorer_concurrency,
     )
 
 
-class BooleanScorer:
+class BM25Scorer(Scorer):
+    """Actor-pool callable: a batch of query rows → top-k result rows."""
+
+    def __init__(self, index_dir: str, default_top_k: int = 50, method: str = "maxscore"):
+        super().__init__(index_dir, default_top_k)
+        self.method = method
+
+    def hits(self, row: dict, k: int):
+        return self.reader.search_one(row["query_text"], k, self.method)
+
+
+def search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG, method: str = "maxscore"):
+    """Queries Dataset (query_id, query_text[, top_k]) → results Dataset."""
+    return map_scorer(queries_ds, BM25Scorer, cfg, index_dir, cfg.top_k, method)
+
+
+def _clause(row: dict, name: str) -> str:
+    """A bool clause's text: a missing, None or NaN clause is empty."""
+    v = row.get(name)
+    return "" if pd.isna(v) else str(v)
+
+
+class BooleanScorer(Scorer):
     """Actor-pool callable for bool queries: batch rows
-    (query_id, must[, should, must_not, top_k]) → top-k result rows."""
+    (query_id, must[, should, must_not, min_should_match, top_k]) →
+    top-k result rows."""
 
     def __init__(self, index_dir: str, default_top_k: int = 50, search_mode: str | None = None):
-        self.reader = IndexReader(index_dir, search_mode=search_mode)
-        self.default_top_k = default_top_k
+        super().__init__(index_dir, default_top_k, search_mode)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        def col(name: str) -> list[str]:
-            return (
-                batch[name].fillna("").astype(str).tolist()
-                if name in batch.columns
-                else [""] * len(batch)
-            )
+    def preload(self, rows: list[dict]) -> None:
+        load_terms(self.reader,
+                   (_clause(row, c) for row in rows for c in ("must", "should", "must_not")))
 
-        must, should, excl = col("must"), col("should"), col("must_not")
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        msms = batch["min_should_match"] if "min_should_match" in batch.columns else None
-        union: set[str] = set()
-        for texts in (must, should, excl):
-            for t in texts:
-                union.update(self.reader.analyzer(t))
-        self.reader.load_postings(sorted(union))
-        out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-        for i, qid in enumerate(batch["query_id"]):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            msm = int(msms.iloc[i]) if msms is not None else 0
-            docs, scores = self.reader.search_one_boolean(
-                must[i], should[i], excl[i], k, min_should_match=msm
-            )
-            n = docs.size
-            out["query_id"].extend([qid] * n)
-            out["rank"].extend(range(1, n + 1))
-            out["doc_id"].extend(docs.astype(np.int64).tolist())
-            out["score"].extend(scores.tolist())
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out["query_id"], dtype="string[python]").astype(object),
-                "rank": pd.Series(out["rank"], dtype=np.int32),
-                "doc_id": pd.Series(out["doc_id"], dtype=np.int64),
-                "score": pd.Series(out["score"], dtype=np.float64),
-            }
+    def hits(self, row: dict, k: int):
+        return self.reader.search_one_boolean(
+            _clause(row, "must"), _clause(row, "should"), _clause(row, "must_not"), k,
+            min_should_match=int(row.get("min_should_match", 0)),
         )
 
 
@@ -627,13 +647,7 @@ def boolean_search(
     results Dataset with ES bool-clause semantics (see
     :meth:`IndexReader.search_one_boolean`). ``search_mode`` overrides the
     query-side analyzer (prefix search = plain tokens vs an edge index)."""
-    return queries_ds.map_batches(
-        BooleanScorer,
-        fn_constructor_args=(index_dir, cfg.top_k, search_mode),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, BooleanScorer, cfg, index_dir, cfg.top_k, search_mode)
 
 
 def prefix_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG):
@@ -717,8 +731,6 @@ def _phrase_positional(r: IndexReader, want: list[str], top_k: int) -> pd.DataFr
     of the phrase terms with the usual (score desc, doc_id asc) ties."""
     from functools import reduce
 
-    from hybrid_sanctions_search_engine_ray.functions.bm25 import topk_desc
-
     uniq = sorted(set(want))
     postings = r.load_postings(uniq)
     if len(postings) < len(uniq):
@@ -769,7 +781,7 @@ def attach_docmap(results_df: pd.DataFrame, index_dir: str) -> pd.DataFrame:
     return results_df.merge(dm, on="doc_id", how="left")
 
 
-class MLTScorer:
+class MLTScorer(Scorer):
     """Actor-pool callable for more-like-this: a batch of seed doc ids →
     top-k similar docs. Per seed: point-read the seed text from the
     source parquet (doc_id predicate pushdown — row-group pruned, never
@@ -780,57 +792,41 @@ class MLTScorer:
     tie hazards in term selection), then BM25-score those terms through
     the same MaxScore path as plain search, excluding the seed doc."""
 
+    columns = {"seed_id": np.int64, "rank": np.int32, "doc_id": np.int64, "score": np.float64}
+
     def __init__(self, index_dir: str, source_path: str, max_terms: int = 5,
                  min_df: int = 2, top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir)
         self.source_path = source_path
         self.max_terms = max_terms
         self.min_df = min_df
         self.top_k = top_k
 
-    def _seed_texts(self, seed_ids: list[int]) -> dict[int, str]:
+    def preload(self, rows: list[dict]) -> None:
         import pyarrow.parquet as pq
 
         t = pq.read_table(self.source_path, columns=["doc_id", "text"],
-                          filters=[("doc_id", "in", seed_ids)])
-        return dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
+                          filters=[("doc_id", "in", [int(row["seed_id"]) for row in rows])])
+        self.seed_texts = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def hits(self, row: dict, k: int):
         r = self.reader
-        seeds = [int(s) for s in batch["seed_id"]]
-        texts = self._seed_texts(seeds)
-        out = {"seed_id": [], "rank": [], "doc_id": [], "score": []}
-        for seed in seeds:
-            toks = r.analyzer(texts.get(seed, ""))
-            if not toks:
-                continue
-            terms, tfs = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-            postings = r.load_postings([str(t) for t in terms])
-            cand = [
-                (-int(tf_), int(postings[str(t)].doc_ids.size), str(t))
-                for t, tf_ in zip(terms, tfs)
-                if str(t) in postings and postings[str(t)].doc_ids.size >= self.min_df
-            ]
-            cand.sort()
-            sel = [t for _, _, t in cand[: self.max_terms]]
-            docs, scores = score_maxscore(
-                [postings[t] for t in sel], self.top_k + 1
-            )
-            keep = docs != seed
-            docs, scores = docs[keep][: self.top_k], scores[keep][: self.top_k]
-            n = docs.size
-            out["seed_id"].extend([seed] * n)
-            out["rank"].extend(range(1, n + 1))
-            out["doc_id"].extend(docs.astype(np.int64).tolist())
-            out["score"].extend(scores.tolist())
-        return pd.DataFrame(
-            {
-                "seed_id": pd.Series(out["seed_id"], dtype=np.int64),
-                "rank": pd.Series(out["rank"], dtype=np.int32),
-                "doc_id": pd.Series(out["doc_id"], dtype=np.int64),
-                "score": pd.Series(out["score"], dtype=np.float64),
-            }
-        )
+        seed = int(row["seed_id"])
+        toks = r.analyzer(self.seed_texts.get(seed, ""))
+        if not toks:
+            return None
+        terms, tfs = np.unique(np.asarray(toks, dtype=object), return_counts=True)
+        postings = r.load_postings([str(t) for t in terms])
+        cand = [
+            (-int(tf_), int(postings[str(t)].doc_ids.size), str(t))
+            for t, tf_ in zip(terms, tfs)
+            if str(t) in postings and postings[str(t)].doc_ids.size >= self.min_df
+        ]
+        cand.sort()
+        sel = [t for _, _, t in cand[: self.max_terms]]
+        docs, scores = score_maxscore([postings[t] for t in sel], self.top_k + 1)
+        keep = docs != seed
+        return docs[keep][: self.top_k], scores[keep][: self.top_k]
 
 
 def more_like_this(seeds_ds, index_dir: str, source_path: str,
@@ -841,47 +837,19 @@ def more_like_this(seeds_ds, index_dir: str, source_path: str,
     sanctioned entities" flow (hybrid_search_service.py escalation with a
     document-as-query); ES more_like_this semantics with deterministic
     term selection."""
-    return seeds_ds.map_batches(
-        MLTScorer,
-        fn_constructor_args=(index_dir, source_path, max_terms, min_df, top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(seeds_ds, MLTScorer, cfg, index_dir, source_path, max_terms, min_df, top_k)
 
 
-class PageScorer:
+class PageScorer(Scorer):
     """Actor-pool callable for cursor pagination: batch rows (query_id,
     query_text, cursor_score, cursor_doc[, top_k]) → the next page."""
 
     def __init__(self, index_dir: str, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
-        self.default_top_k = default_top_k
+        super().__init__(index_dir, default_top_k)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        for i, row in enumerate(batch.itertuples(index=False)):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            docs, scores = self.reader.search_one_after(
-                row.query_text, k, float(row.cursor_score), int(row.cursor_doc)
-            )
-            n = docs.size
-            out["query_id"].extend([row.query_id] * n)
-            out["rank"].extend(range(1, n + 1))
-            out["doc_id"].extend(docs.astype(np.int64).tolist())
-            out["score"].extend(scores.tolist())
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out["query_id"], dtype="string[python]").astype(object),
-                "rank": pd.Series(out["rank"], dtype=np.int32),
-                "doc_id": pd.Series(out["doc_id"], dtype=np.int64),
-                "score": pd.Series(out["score"], dtype=np.float64),
-            }
+    def hits(self, row: dict, k: int):
+        return self.reader.search_one_after(
+            row["query_text"], k, float(row["cursor_score"]), int(row["cursor_doc"])
         )
 
 
@@ -889,13 +857,7 @@ def search_after(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG)
     """Cursor-paged search: queries Dataset (query_id, query_text,
     cursor_score, cursor_doc[, top_k]) → next-page results. Rank is
     1-based WITHIN the page; callers add their page offset."""
-    return queries_ds.map_batches(
-        PageScorer,
-        fn_constructor_args=(index_dir, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, PageScorer, cfg, index_dir, cfg.top_k)
 
 
 def expand_synonyms(query_text: str, synonyms: dict[str, list[str]], analyzer) -> str:
@@ -927,7 +889,7 @@ def synonym_search(queries_ds, index_dir: str, synonyms: dict[str, list[str]],
     return search(queries_ds.map_batches(rewrite, batch_format="pandas"), index_dir, cfg, method)
 
 
-class ConvScorer:
+class ConvScorer(Scorer):
     """Actor-pool callable: rank CONVERSATIONS by their turns' BM25
     scores (ES parent-child ``has_child`` with score_mode max/sum — the
     transcript-level retrieval a turn index serves). Exhaustive TAAT
@@ -935,69 +897,43 @@ class ConvScorer:
     conversation rollup), then a vectorized groupby on the derived
     conv key."""
 
+    columns = {"query_id": str, "rank": np.int32, "conv_num": np.int64, "score": np.float64,
+               "n_hit_turns": np.int64}
+
     def __init__(self, index_dir: str, turns_per_conv: int, default_top_k: int = 10,
                  score_mode: str = "max", min_children: int = 0,
                  max_children: int | None = None):
         if score_mode not in ("max", "sum", "avg"):
             raise ValueError("score_mode must be max, sum or avg")
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.tpc = int(turns_per_conv)
-        self.default_top_k = default_top_k
         self.score_mode = score_mode
         # ES has_child min_children/max_children: parents qualify only
         # with a matching-child count in [min_children, max_children]
         self.min_children = int(min_children)
         self.max_children = None if max_children is None else int(max_children)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        from hybrid_sanctions_search_engine_ray.functions.bm25 import score_all, topk_desc
-
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        out = {"query_id": [], "rank": [], "conv_num": [], "score": [], "n_hit_turns": []}
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            conv = docs.astype(np.int64) // self.tpc
-            uniq, inv = np.unique(conv, return_inverse=True)
-            hits = np.bincount(inv, minlength=uniq.size)
-            if self.score_mode == "max":
-                agg = np.zeros(uniq.size, np.float64)
-                np.maximum.at(agg, inv, scores)
-            else:
-                agg = np.bincount(inv, weights=scores, minlength=uniq.size)
-                if self.score_mode == "avg":
-                    agg = agg / hits
-            if self.min_children > 0 or self.max_children is not None:
-                keep = hits >= self.min_children
-                if self.max_children is not None:
-                    keep &= hits <= self.max_children
-                uniq, agg, hits = uniq[keep], agg[keep], hits[keep]
-                if uniq.size == 0:
-                    continue
-            cs, ss = topk_desc(uniq.astype(np.uint64), agg, k)
-            pos = np.searchsorted(uniq, cs.astype(np.int64))
-            n = cs.size
-            out["query_id"].extend([qid] * n)
-            out["rank"].extend(range(1, n + 1))
-            out["conv_num"].extend(cs.astype(np.int64).tolist())
-            out["score"].extend(ss.tolist())
-            out["n_hit_turns"].extend(hits[pos].astype(np.int64).tolist())
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out["query_id"], dtype="string[python]").astype(object),
-                "rank": pd.Series(out["rank"], dtype=np.int32),
-                "conv_num": pd.Series(out["conv_num"], dtype=np.int64),
-                "score": pd.Series(out["score"], dtype=np.float64),
-                "n_hit_turns": pd.Series(out["n_hit_turns"], dtype=np.int64),
-            }
-        )
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        conv = docs.astype(np.int64) // self.tpc
+        uniq, inv = np.unique(conv, return_inverse=True)
+        hits = np.bincount(inv, minlength=uniq.size)
+        if self.score_mode == "max":
+            agg = np.zeros(uniq.size, np.float64)
+            np.maximum.at(agg, inv, scores)
+        else:
+            agg = np.bincount(inv, weights=scores, minlength=uniq.size)
+            if self.score_mode == "avg":
+                agg = agg / hits
+        if self.min_children > 0 or self.max_children is not None:
+            keep = hits >= self.min_children
+            if self.max_children is not None:
+                keep &= hits <= self.max_children
+            uniq, agg, hits = uniq[keep], agg[keep], hits[keep]
+        cs, ss = topk_desc(uniq.astype(np.uint64), agg, k)
+        return cs, ss, hits[np.searchsorted(uniq, cs.astype(np.int64))]
 
 
 def conv_search(queries_ds, index_dir: str, turns_per_conv: int,
@@ -1010,17 +946,11 @@ def conv_search(queries_ds, index_dir: str, turns_per_conv: int,
     general path; the stride avoids it when ids are conv-major).
     ``score_mode``/``min_children``/``max_children`` give the full ES
     has_child surface (max/sum/avg rollup + child-count constraints)."""
-    return queries_ds.map_batches(
-        ConvScorer,
-        fn_constructor_args=(index_dir, turns_per_conv, cfg.top_k, score_mode,
-                             min_children, max_children),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, ConvScorer, cfg, index_dir, turns_per_conv, cfg.top_k,
+                      score_mode, min_children, max_children)
 
 
-class FunctionScorer:
+class FunctionScorer(Scorer):
     """Actor-pool callable for ES function_score: multiply each
     candidate's BM25 score by a deterministic per-doc factor
     (``boost_fn``: vectorized doc_ids → float64 factors) BEFORE top-k
@@ -1029,40 +959,14 @@ class FunctionScorer:
     could not do that)."""
 
     def __init__(self, index_dir: str, boost_fn, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.boost_fn = boost_fn
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        from hybrid_sanctions_search_engine_ray.functions.bm25 import score_all, topk_desc
-
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            boosted = scores * self.boost_fn(docs.astype(np.int64))
-            d, s = topk_desc(docs, boosted, k)
-            n = d.size
-            out["query_id"].extend([qid] * n)
-            out["rank"].extend(range(1, n + 1))
-            out["doc_id"].extend(d.astype(np.int64).tolist())
-            out["score"].extend(s.tolist())
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out["query_id"], dtype="string[python]").astype(object),
-                "rank": pd.Series(out["rank"], dtype=np.int32),
-                "doc_id": pd.Series(out["doc_id"], dtype=np.int64),
-                "score": pd.Series(out["score"], dtype=np.float64),
-            }
-        )
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        return topk_desc(docs, scores * self.boost_fn(docs.astype(np.int64)), k)
 
 
 def function_score_search(queries_ds, index_dir: str, boost_fn,
@@ -1071,10 +975,4 @@ def function_score_search(queries_ds, index_dir: str, boost_fn,
     set. ``boost_fn`` must be a pure vectorized function of the doc-id
     array (deterministic across workers — it ships inside the actor
     constructor)."""
-    return queries_ds.map_batches(
-        FunctionScorer,
-        fn_constructor_args=(index_dir, boost_fn, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, FunctionScorer, cfg, index_dir, boost_fn, cfg.top_k)

@@ -11,9 +11,13 @@ Scale shape shared by every feature here:
 
 * dictionary-sized work (wildcard expansion) runs as a distributed
   column-pruned scan over the segment term columns — never the corpus;
-* candidate-sized work runs inside scorer actors that load the manifest
-  and postings ONCE per actor (``map_batches`` actor pool, same
-  lifecycle as :class:`~.query.BM25Scorer`);
+* candidate-sized work runs inside scorer actors: subclasses of
+  :class:`~.query.Scorer` that :func:`~.query.map_scorer` runs as a
+  ``map_batches`` actor pool, like :class:`~.query.BM25Scorer`. Each
+  actor loads the manifest once and caches postings; the base preloads
+  each batch's terms in one pass, loops over the rows and builds the
+  result frame, so a scorer class holds only its state, its per-row
+  ``hits`` and, where it reads other columns or readers, its preload;
 * doc-attribute lookups (collapse keys, group keys) come from the
   doc-id-sorted docmap loaded once per actor with only the needed
   columns — never a shuffle join. On a multi-node cluster the docmap
@@ -31,6 +35,7 @@ import glob
 import hashlib
 import os
 import re
+from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -39,29 +44,24 @@ import pyarrow.dataset as pads
 
 from hybrid_sanctions_search_engine_ray.config import DEFAULT_CONFIG, EngineConfig
 from hybrid_sanctions_search_engine_ray.functions.bm25 import score_all, topk_desc
-from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader, _sorted_member
+from hybrid_sanctions_search_engine_ray.pipelines.query import (
+    RESULT_COLUMNS,
+    IndexReader,
+    Scorer,
+    _result_frame,
+    _sorted_member,
+    load_terms,
+    map_scorer,
+)
 from hybrid_sanctions_search_engine_ray.stages.analyze import DOC_SENTINEL
+from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE
 
-_RESULT_SCHEMA = {
-    "query_id": pd.Series([], dtype=object),
-    "rank": pd.Series([], dtype=np.int32),
-    "doc_id": pd.Series([], dtype=np.int64),
-    "score": pd.Series([], dtype=np.float64),
-}
-
-
-def _result_frame(qids: list, ranks: list, docs: list, scores: list,
-                  extra: dict | None = None) -> pd.DataFrame:
-    cols = {
-        "query_id": pd.Series(qids, dtype="string[python]").astype(object),
-        "rank": pd.Series(ranks, dtype=np.int32),
-        "doc_id": pd.Series(docs, dtype=np.int64),
-        "score": pd.Series(scores, dtype=np.float64),
-    }
-    if extra:
-        for name, (vals, dtype) in extra.items():
-            cols[name] = pd.Series(vals, dtype=dtype)
-    return pd.DataFrame(cols)
+def _load_shared_terms(readers: list[IndexReader], rows: list[dict]) -> None:
+    """Preload for same-analyzer field readers: the batch's terms,
+    analyzed once with the first field's analyzer, load in every field."""
+    terms = sorted({t for row in rows for t in readers[0].analyzer(row["query_text"])})
+    for reader in readers:
+        reader.load_postings(terms)
 
 
 # --- wildcard / regexp queries ----------------------------------------------
@@ -96,7 +96,7 @@ def _expand_regex_map(index_dir: str, rex: dict[str, str]) -> dict[str, list[str
     """
     import ray.data as rd
 
-    files = sorted(glob.glob(os.path.join(index_dir, "segments", "part=*", "postings.parquet")))
+    files = sorted(glob.glob(os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
     out: dict[str, set[str]] = {qid: set() for qid in rex}
     if not files:
         return {qid: [] for qid in rex}
@@ -145,7 +145,7 @@ def wildcard_search(patterns: dict[str, str], index_dir: str,
         if terms
     ]
     if not items:
-        return rd.from_pandas(pd.DataFrame(_RESULT_SCHEMA))
+        return rd.from_pandas(_result_frame())
     return search(rd.from_items(items), index_dir, cfg, method="taat")
 
 
@@ -164,7 +164,7 @@ def _load_docmap_key(index_dir: str, key: str) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], keys
 
 
-class CollapseScorer:
+class CollapseScorer(Scorer):
     """ES field collapsing: rank GROUPS by their best-scoring hit and
     return one representative doc per group. The collapse key for every
     candidate comes from the docmap loaded once per actor (doc_id +
@@ -174,57 +174,30 @@ class CollapseScorer:
     """
 
     def __init__(self, index_dir: str, key: str = "conv_id", default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
-        self.key = key
+        super().__init__(index_dir, default_top_k)
         self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
-        self.default_top_k = default_top_k
+        self.columns = {**RESULT_COLUMNS, key: object}
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        keys_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            d64 = docs.astype(np.int64)
-            keys = self.dm_keys[np.searchsorted(self.dm_ids, d64)]
-            codes, _ = pd.factorize(keys)
-            order = np.lexsort((d64, -scores))          # global rank order
-            first = np.unique(codes[order], return_index=True)[1]
-            best = order[np.sort(first)][:k]            # best row per group, group-ranked
-            n = best.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            keys_out.extend(keys[best].tolist())
-            docs_out.extend(d64[best].tolist())
-            scores_out.extend(scores[best].tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out,
-                             extra={self.key: (keys_out, object)})
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        d64 = docs.astype(np.int64)
+        keys = self.dm_keys[np.searchsorted(self.dm_ids, d64)]
+        codes, _ = pd.factorize(keys)
+        order = np.lexsort((d64, -scores))          # global rank order
+        first = np.unique(codes[order], return_index=True)[1]
+        best = order[np.sort(first)][:k]            # best row per group, group-ranked
+        return d64[best], scores[best], keys[best]
 
 
 def collapse_search(queries_ds, index_dir: str, key: str = "conv_id",
                     cfg: EngineConfig = DEFAULT_CONFIG):
     """ES collapse: top-k groups by best hit, one representative each."""
-    return queries_ds.map_batches(
-        CollapseScorer,
-        fn_constructor_args=(index_dir, key, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, CollapseScorer, cfg, index_dir, key, cfg.top_k)
 
 
-class GroupTopHitsScorer:
+class GroupTopHitsScorer(Scorer):
     """ES ``terms`` aggregation with a ``top_hits`` sub-aggregation:
     for every distinct value of a docmap attribute, the group's top-N
     hits by BM25 score. Groups are emitted in key-ascending order
@@ -232,59 +205,35 @@ class GroupTopHitsScorer:
     restarts inside each group."""
 
     def __init__(self, index_dir: str, key: str = "turn_idx", per_group: int = 3):
-        self.reader = IndexReader(index_dir)
-        self.key = key
+        super().__init__(index_dir)
         self.per_group = per_group
         self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
+        self.columns = {**RESULT_COLUMNS, key: np.int64}
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        keys_out: list = []
-        for qid, qtext in zip(batch["query_id"], batch["query_text"]):
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            d64 = docs.astype(np.int64)
-            keys = self.dm_keys[np.searchsorted(self.dm_ids, d64)]
-            # order within each key block by (score desc, doc asc):
-            # lexsort most-significant-last
-            order = np.lexsort((d64, -scores, keys))
-            k_sorted = keys[order]
-            starts = np.flatnonzero(np.r_[True, k_sorted[1:] != k_sorted[:-1]])
-            within = np.arange(k_sorted.size) - np.repeat(starts, np.diff(np.r_[starts, k_sorted.size]))
-            keep = within < self.per_group
-            sel = order[keep]
-            n = sel.size
-            qids.extend([qid] * n)
-            keys_out.extend(keys[sel].tolist())
-            ranks.extend((within[keep] + 1).tolist())
-            docs_out.extend(d64[sel].tolist())
-            scores_out.extend(scores[sel].tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out,
-                             extra={self.key: (keys_out, np.int64)})
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        d64 = docs.astype(np.int64)
+        keys = self.dm_keys[np.searchsorted(self.dm_ids, d64)]
+        # order within each key block by (score desc, doc asc):
+        # lexsort most-significant-last
+        order = np.lexsort((d64, -scores, keys))
+        k_sorted = keys[order]
+        starts = np.flatnonzero(np.r_[True, k_sorted[1:] != k_sorted[:-1]])
+        within = np.arange(k_sorted.size) - np.repeat(starts, np.diff(np.r_[starts, k_sorted.size]))
+        keep = within < self.per_group
+        sel = order[keep]
+        return within[keep] + 1, d64[sel], scores[sel], keys[sel]
 
 
 def top_hits_search(queries_ds, index_dir: str, key: str = "turn_idx",
                     per_group: int = 3, cfg: EngineConfig = DEFAULT_CONFIG):
     """terms-agg + top_hits: per group, the top ``per_group`` hits."""
-    return queries_ds.map_batches(
-        GroupTopHitsScorer,
-        fn_constructor_args=(index_dir, key, per_group),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, GroupTopHitsScorer, cfg, index_dir, key, per_group)
 
 
-class CollapseInnerHitsScorer:
+class CollapseInnerHitsScorer(Scorer):
     """ES ``collapse`` with ``inner_hits``: groups ranked by their best
     hit exactly as CollapseScorer, but each of the top-k groups also
     returns its own top ``per_group`` member hits (inner rank restarts
@@ -293,57 +242,33 @@ class CollapseInnerHitsScorer:
 
     def __init__(self, index_dir: str, key: str = "conv_id",
                  per_group: int = 2, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
-        self.key = key
+        super().__init__(index_dir, default_top_k)
         self.per_group = per_group
-        self.default_top_k = default_top_k
         self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
+        self.columns = {**RESULT_COLUMNS, key: object, "inner_rank": np.int32}
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        granks: list = []
-        iranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        keys_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            d64 = docs.astype(np.int64)
-            keys = self.dm_keys[np.searchsorted(self.dm_ids, d64)]
-            codes, _ = pd.factorize(keys)
-            order = np.lexsort((d64, -scores))              # global rank order
-            first = np.unique(codes[order], return_index=True)[1]
-            best = order[np.sort(first)][:k]                # reps, group-ranked
-            grank_of = np.full(codes.max() + 1, 0, dtype=np.int64)
-            grank_of[codes[best]] = np.arange(1, best.size + 1)
-            g = grank_of[codes]
-            keep = g > 0
-            sel = np.flatnonzero(keep)
-            morder = sel[np.lexsort((d64[keep], -scores[keep], g[keep]))]
-            gs = g[morder]
-            starts = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
-            within = np.arange(gs.size) - np.repeat(starts, np.diff(np.r_[starts, gs.size]))
-            win = within < self.per_group
-            mm = morder[win]
-            n = mm.size
-            qids.extend([qid] * n)
-            granks.extend(gs[win].tolist())
-            iranks.extend((within[win] + 1).tolist())
-            keys_out.extend(keys[mm].tolist())
-            docs_out.extend(d64[mm].tolist())
-            scores_out.extend(scores[mm].tolist())
-        return _result_frame(qids, granks, docs_out, scores_out,
-                             extra={self.key: (keys_out, object),
-                                    "inner_rank": (iranks, np.int32)})
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        d64 = docs.astype(np.int64)
+        keys = self.dm_keys[np.searchsorted(self.dm_ids, d64)]
+        codes, _ = pd.factorize(keys)
+        order = np.lexsort((d64, -scores))              # global rank order
+        first = np.unique(codes[order], return_index=True)[1]
+        best = order[np.sort(first)][:k]                # reps, group-ranked
+        grank_of = np.full(codes.max() + 1, 0, dtype=np.int64)
+        grank_of[codes[best]] = np.arange(1, best.size + 1)
+        g = grank_of[codes]
+        keep = g > 0
+        sel = np.flatnonzero(keep)
+        morder = sel[np.lexsort((d64[keep], -scores[keep], g[keep]))]
+        gs = g[morder]
+        starts = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
+        within = np.arange(gs.size) - np.repeat(starts, np.diff(np.r_[starts, gs.size]))
+        win = within < self.per_group
+        mm = morder[win]
+        return gs[win], d64[mm], scores[mm], keys[mm], within[win] + 1
 
 
 def collapse_inner_hits_search(queries_ds, index_dir: str, key: str = "conv_id",
@@ -351,75 +276,42 @@ def collapse_inner_hits_search(queries_ds, index_dir: str, key: str = "conv_id",
                                cfg: EngineConfig = DEFAULT_CONFIG):
     """collapse + inner_hits: top-k groups by best hit, each with its
     own top ``per_group`` member hits."""
-    return queries_ds.map_batches(
-        CollapseInnerHitsScorer,
-        fn_constructor_args=(index_dir, key, per_group),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, CollapseInnerHitsScorer, cfg, index_dir, key, per_group)
 
 
 # --- boosting (negative demotion) query ---------------------------------------
 
 
-class BoostingScorer:
+class BoostingScorer(Scorer):
     """ES ``boosting`` query: positive-clause BM25 score, multiplied by
     ``negative_boost`` for docs that match the negative clause (any
     negative term). Demotion sees the full candidate set; membership is
     a sorted-array probe against the union of the negative terms'
     posting doc lists."""
 
+    text_cols = ("query_text", "negative")
+
     def __init__(self, index_dir: str, negative_boost: float = 0.5,
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.negative_boost = negative_boost
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for col in ("query_text", "negative"):
-            for t in batch[col]:
-                union.update(self.reader.analyzer(t))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext, neg) in enumerate(
-            zip(batch["query_id"], batch["query_text"], batch["negative"])
-        ):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            neg_terms = sorted(set(self.reader.analyzer(neg)))
-            neg_postings = self.reader.load_postings(neg_terms)
-            if neg_postings:
-                neg_docs = np.unique(np.concatenate([p.doc_ids for p in neg_postings.values()]))
-                hit = _sorted_member(neg_docs, docs)
-                scores = np.where(hit, scores * self.negative_boost, scores)
-            d, s = topk_desc(docs, scores, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        neg_postings = self.reader.load_postings(sorted(set(self.reader.analyzer(row["negative"]))))
+        if neg_postings:
+            neg_docs = np.unique(np.concatenate([p.doc_ids for p in neg_postings.values()]))
+            hit = _sorted_member(neg_docs, docs)
+            scores = np.where(hit, scores * self.negative_boost, scores)
+        return topk_desc(docs, scores, k)
 
 
 def boosting_search(queries_ds, index_dir: str, negative_boost: float = 0.5,
                     cfg: EngineConfig = DEFAULT_CONFIG):
     """ES boosting query: queries carry (query_id, query_text, negative)."""
-    return queries_ds.map_batches(
-        BoostingScorer,
-        fn_constructor_args=(index_dir, negative_boost, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, BoostingScorer, cfg, index_dir, negative_boost, cfg.top_k)
 
 
 # --- top-window rescoring ------------------------------------------------------
@@ -466,7 +358,7 @@ def _phrase_match_mask(reader: IndexReader, want: list[str], cand: np.ndarray,
     return out
 
 
-class RescoreScorer:
+class RescoreScorer(Scorer):
     """ES ``rescore``: re-rank only the top ``window`` first-pass BM25
     hits with a secondary signal — here an exact-phrase bonus from the
     positional postings (``final = bm25 + weight × phrase_match``) —
@@ -478,51 +370,24 @@ class RescoreScorer:
 
     def __init__(self, index_dir: str, window: int = 50, weight: float = 2.0,
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.window = window
         self.weight = weight
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            want = self.reader.analyzer(qtext)
-            terms = sorted(set(want))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            wdocs, wscores = topk_desc(docs, scores, self.window)
-            w64 = wdocs.astype(np.int64)
-            bonus = _phrase_match_mask(self.reader, want, w64)
-            final = wscores + self.weight * bonus
-            d, s = topk_desc(wdocs, final, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        wdocs, wscores = topk_desc(docs, scores, self.window)
+        want = self.reader.analyzer(row["query_text"])
+        bonus = _phrase_match_mask(self.reader, want, wdocs.astype(np.int64))
+        return topk_desc(wdocs, wscores + self.weight * bonus, k)
 
 
 def rescore_search(queries_ds, index_dir: str, window: int = 50, weight: float = 2.0,
                    cfg: EngineConfig = DEFAULT_CONFIG):
     """ES rescore over a positional index (store_positions=True)."""
-    return queries_ds.map_batches(
-        RescoreScorer,
-        fn_constructor_args=(index_dir, window, weight, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, RescoreScorer, cfg, index_dir, window, weight, cfg.top_k)
 
 
 # --- seeded random scoring -----------------------------------------------------
@@ -540,7 +405,7 @@ def _random_bucket(doc_ids: np.ndarray, seed: str, mod: int = 1_000_000) -> np.n
     return out % np.uint64(mod)
 
 
-class RandomScoreScorer:
+class RandomScoreScorer(Scorer):
     """ES ``function_score`` with ``random_score`` (seeded) and
     ``boost_mode: replace``: candidates come from the match query, the
     returned score is a reproducible pseudo-random value in [0, 1) that
@@ -548,112 +413,60 @@ class RandomScoreScorer:
     random sample of matching docs for relevance labelling."""
 
     def __init__(self, index_dir: str, seed: str = "42", default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.seed = seed
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, _ = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            d64 = docs.astype(np.int64)
-            rnd = _random_bucket(d64, self.seed).astype(np.float64) / 1_000_000.0
-            d, s = topk_desc(docs, rnd, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        docs, _ = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        rnd = _random_bucket(docs.astype(np.int64), self.seed).astype(np.float64) / 1_000_000.0
+        return topk_desc(docs, rnd, k)
 
 
 def random_score_search(queries_ds, index_dir: str, seed: str = "42",
                         cfg: EngineConfig = DEFAULT_CONFIG):
     """Seeded random_score over the match candidate set."""
-    return queries_ds.map_batches(
-        RandomScoreScorer,
-        fn_constructor_args=(index_dir, seed, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, RandomScoreScorer, cfg, index_dir, seed, cfg.top_k)
 
 
 # --- explain / term vectors / adjacency matrix ----------------------------------
 
 
-class ExplainScorer:
+class ExplainScorer(Scorer):
     """ES ``explain`` API: for each query's top-k docs, one row per
     contributing term with its additive BM25 contribution
     (idf × tf-factor). The per-term contributions sum to the TAAT score
     exactly (same accumulator), so explanations are audit-grade."""
 
-    def __init__(self, index_dir: str, default_top_k: int = 3):
-        self.reader = IndexReader(index_dir)
-        self.default_top_k = default_top_k
+    columns = {"query_id": str, "rank": np.int32, "doc_id": np.int64, "term": object,
+               "contrib": np.float64}
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        rows: dict[str, list] = {"query_id": [], "rank": [], "doc_id": [], "term": [],
-                                 "contrib": []}
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            postings = self.reader.load_postings(terms)
-            docs, scores = score_all(list(postings.values()))
-            if docs.size == 0:
-                continue
-            d, _ = topk_desc(docs, scores, k)
-            for t in terms:
-                p = postings.get(t)
-                if p is None:
-                    continue
-                idx = np.searchsorted(p.doc_ids, d)
-                safe = np.minimum(idx, p.doc_ids.size - 1)
-                hit = (idx < p.doc_ids.size) & (p.doc_ids[safe] == d)
-                for j in np.flatnonzero(hit):
-                    rows["query_id"].append(qid)
-                    rows["rank"].append(j + 1)
-                    rows["doc_id"].append(int(d[j]))
-                    rows["term"].append(t)
-                    rows["contrib"].append(float(p.factors[idx[j]] * p.idf))
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(rows["query_id"], dtype="string[python]").astype(object),
-                "rank": pd.Series(rows["rank"], dtype=np.int32),
-                "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-                "term": pd.Series(rows["term"], dtype="string[python]").astype(object),
-                "contrib": pd.Series(rows["contrib"], dtype=np.float64),
-            }
-        )
+    def __init__(self, index_dir: str, default_top_k: int = 3):
+        super().__init__(index_dir, default_top_k)
+
+    def hits(self, row: dict, k: int):
+        postings = self.reader.load_postings(sorted(set(self.reader.analyzer(row["query_text"]))))
+        docs, scores = score_all(list(postings.values()))
+        if docs.size == 0:
+            return None
+        d, _ = topk_desc(docs, scores, k)
+        ranks, ids, terms, contribs = [], [], [], []
+        for t, p in postings.items():  # term order
+            idx = np.searchsorted(p.doc_ids, d)
+            safe = np.minimum(idx, p.doc_ids.size - 1)
+            j = np.flatnonzero((idx < p.doc_ids.size) & (p.doc_ids[safe] == d))
+            ranks.append(j + 1)
+            ids.append(d[j])
+            terms.append(np.full(j.size, t, dtype=object))
+            contribs.append(p.factors[idx[j]] * p.idf)
+        return tuple(map(np.concatenate, (ranks, ids, terms, contribs)))
 
 
 def explain_search(queries_ds, index_dir: str, top_k: int = 3,
                    cfg: EngineConfig = DEFAULT_CONFIG):
     """Per-term BM25 score breakdown for each query's top-k docs."""
-    return queries_ds.map_batches(
-        ExplainScorer,
-        fn_constructor_args=(index_dir, top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, ExplainScorer, cfg, index_dir, top_k)
 
 
 def term_vectors(index_dir: str, doc_ids: list[int], texts: dict[int, str]) -> pd.DataFrame:
@@ -769,7 +582,7 @@ def _unordered_match_mask(reader: IndexReader, want: list[str], cand: np.ndarray
     return out
 
 
-class SpanNearScorer:
+class SpanNearScorer(Scorer):
     """ES ``span_near``: docs containing every query term within a
     proximity window. ``in_order=True`` (default) requires the terms in
     order with each consecutive positional gap ≤ ``slop`` (slop 0 =
@@ -781,69 +594,37 @@ class SpanNearScorer:
 
     def __init__(self, index_dir: str, default_slop: int = 2, default_top_k: int = 10,
                  in_order: bool = True):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.default_slop = default_slop
-        self.default_top_k = default_top_k
         self.in_order = in_order
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        slops = batch["slop"] if "slop" in batch.columns else None
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            slop = int(slops.iloc[i]) if slops is not None else self.default_slop
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            want = self.reader.analyzer(qtext)
-            uniq = sorted(set(want))
-            postings = self.reader.load_postings(uniq)
-            if len(postings) < len(uniq) or not uniq:
-                continue
-            from functools import reduce
-
-            cand = reduce(np.intersect1d, [postings[t].doc_ids for t in uniq]).astype(np.int64)
-            if cand.size == 0:
-                continue
-            if self.in_order:
-                hit = _phrase_match_mask(self.reader, want, cand, slop=slop)
-            else:
-                hit = _unordered_match_mask(self.reader, want, cand, slop=slop)
-            m = cand[hit].astype(np.uint64)
-            if m.size == 0:
-                continue
-            scores = np.zeros(m.size, dtype=np.float64)
-            for p in postings.values():
-                at = np.searchsorted(p.doc_ids, m)
-                scores += p.factors[at] * p.idf  # every cand matches every term
-            d, s = topk_desc(m, scores, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        slop = int(row.get("slop", self.default_slop))
+        want = self.reader.analyzer(row["query_text"])
+        uniq = sorted(set(want))
+        postings = self.reader.load_postings(uniq)
+        if len(postings) < len(uniq) or not uniq:
+            return None
+        cand = reduce(np.intersect1d, [postings[t].doc_ids for t in uniq]).astype(np.int64)
+        if cand.size == 0:
+            return None
+        match = _phrase_match_mask if self.in_order else _unordered_match_mask
+        m = cand[match(self.reader, want, cand, slop=slop)].astype(np.uint64)
+        scores = np.zeros(m.size, dtype=np.float64)
+        for p in postings.values():
+            at = np.searchsorted(p.doc_ids, m)
+            scores += p.factors[at] * p.idf  # every cand matches every term
+        return topk_desc(m, scores, k)
 
 
 def span_near_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG,
                      in_order: bool = True):
     """span_near over a positional index; queries carry (query_id,
     query_text, slop[, top_k])."""
-    return queries_ds.map_batches(
-        SpanNearScorer,
-        fn_constructor_args=(index_dir, 2, cfg.top_k, in_order),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, SpanNearScorer, cfg, index_dir, 2, cfg.top_k, in_order)
 
 
-class SpanOrNearScorer:
+class SpanOrNearScorer(Scorer):
     """Lucene ``span_or`` leaves inside an ordered ``span_near``: each
     clause is a SET of alternative terms (``"fast|slow hash|merge join"``
     → 3 clauses); a doc matches when positions p₁ < p₂ < … (pᵢ drawn
@@ -857,109 +638,85 @@ class SpanOrNearScorer:
 
     def __init__(self, index_dir: str, default_slop: int = 2,
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.default_slop = default_slop
-        self.default_top_k = default_top_k
 
     @staticmethod
     def _parse(qtext: str) -> list[list[str]]:
         return [sorted(set(c.split("|"))) for c in qtext.split()]
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            for clause in self._parse(qtext):
-                union.update(clause)
-        self.reader.load_postings(sorted(union))
-        slops = batch["slop"] if "slop" in batch.columns else None
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            slop = int(slops.iloc[i]) if slops is not None else self.default_slop
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            clauses = self._parse(qtext)
-            postings = self.reader.load_postings(
-                sorted({t for c in clauses for t in c}))
-            # candidates: docs with >=1 member of every clause
-            cand = None
-            clause_terms: list[list[str]] = []
-            for c in clauses:
-                have = [t for t in c if t in postings]
-                if not have:
-                    cand = np.empty(0, np.int64)
-                    clause_terms.append([])
-                    continue
-                clause_terms.append(have)
-                u = np.unique(np.concatenate(
-                    [postings[t].doc_ids.astype(np.int64) for t in have]))
-                cand = u if cand is None else np.intersect1d(cand, u)
-            if cand is None or cand.size == 0:
+    def preload(self, rows: list[dict]) -> None:
+        self.reader.load_postings(sorted(
+            {t for row in rows for clause in self._parse(row["query_text"]) for t in clause}))
+
+    def hits(self, row: dict, k: int):
+        slop = int(row.get("slop", self.default_slop))
+        clauses = self._parse(row["query_text"])
+        postings = self.reader.load_postings(
+            sorted({t for c in clauses for t in c}))
+        # candidates: docs with >=1 member of every clause
+        cand = None
+        clause_terms: list[list[str]] = []
+        for c in clauses:
+            have = [t for t in c if t in postings]
+            if not have:
+                cand = np.empty(0, np.int64)
+                clause_terms.append([])
                 continue
-            pos = {t: self.reader.load_positions(t)
-                   for c in clause_terms for t in c}
-            if any(p is None for p in pos.values()):
-                raise ValueError(
-                    "span_or/near requires an index built with store_positions=True")
-            hit = np.zeros(cand.size, dtype=bool)
-            for ci in range(cand.size):
-                d = cand[ci]
-                prev: np.ndarray | None = None
-                ok = True
-                for c in clause_terms:
-                    plists = []
-                    for t in c:
-                        doc_ids, offsets, flat = pos[t]
-                        at = int(np.searchsorted(doc_ids, d))
-                        if at < doc_ids.size and doc_ids[at] == d:
-                            plists.append(flat[offsets[at]: offsets[at + 1]].astype(np.int64))
-                    p_t = (np.unique(np.concatenate(plists))
-                           if plists else np.empty(0, np.int64))
-                    if prev is not None and p_t.size:
-                        lo = np.searchsorted(prev, p_t - slop - 1, side="left")
-                        hi = np.searchsorted(prev, p_t - 1, side="right")
-                        p_t = p_t[hi > lo]
-                    if p_t.size == 0:
-                        ok = False
-                        break
-                    prev = p_t
-                hit[ci] = ok
-            m = cand[hit].astype(np.uint64)
-            if m.size == 0:
-                continue
-            scores = np.zeros(m.size, dtype=np.float64)
+            clause_terms.append(have)
+            u = np.unique(np.concatenate(
+                [postings[t].doc_ids.astype(np.int64) for t in have]))
+            cand = u if cand is None else np.intersect1d(cand, u)
+        if cand is None or cand.size == 0:
+            return None
+        pos = {t: self.reader.load_positions(t)
+               for c in clause_terms for t in c}
+        if any(p is None for p in pos.values()):
+            raise ValueError(
+                "span_or/near requires an index built with store_positions=True")
+        hit = np.zeros(cand.size, dtype=bool)
+        for ci in range(cand.size):
+            d = cand[ci]
+            prev: np.ndarray | None = None
+            ok = True
             for c in clause_terms:
-                best = np.full(m.size, -np.inf)
+                plists = []
                 for t in c:
-                    p = postings[t]
-                    at = np.searchsorted(p.doc_ids, m)
-                    safe = np.minimum(at, p.doc_ids.size - 1)
-                    present = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-                    sc = np.where(present, p.factors[safe] * p.idf, -np.inf)
-                    best = np.maximum(best, sc)
-                scores += best
-            d, s = topk_desc(m, scores, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+                    doc_ids, offsets, flat = pos[t]
+                    at = int(np.searchsorted(doc_ids, d))
+                    if at < doc_ids.size and doc_ids[at] == d:
+                        plists.append(flat[offsets[at]: offsets[at + 1]].astype(np.int64))
+                p_t = (np.unique(np.concatenate(plists))
+                       if plists else np.empty(0, np.int64))
+                if prev is not None and p_t.size:
+                    lo = np.searchsorted(prev, p_t - slop - 1, side="left")
+                    hi = np.searchsorted(prev, p_t - 1, side="right")
+                    p_t = p_t[hi > lo]
+                if p_t.size == 0:
+                    ok = False
+                    break
+                prev = p_t
+            hit[ci] = ok
+        m = cand[hit].astype(np.uint64)
+        scores = np.zeros(m.size, dtype=np.float64)
+        for c in clause_terms:
+            best = np.full(m.size, -np.inf)
+            for t in c:
+                p = postings[t]
+                at = np.searchsorted(p.doc_ids, m)
+                safe = np.minimum(at, p.doc_ids.size - 1)
+                present = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
+                sc = np.where(present, p.factors[safe] * p.idf, -np.inf)
+                best = np.maximum(best, sc)
+            scores += best
+        return topk_desc(m, scores, k)
 
 
 def span_or_near_search(queries_ds, index_dir: str,
                         cfg: EngineConfig = DEFAULT_CONFIG):
     """span_near over span_or clauses; query_text clause syntax
     ``"a|b c d|e"`` with per-row slop/top_k."""
-    return queries_ds.map_batches(
-        SpanOrNearScorer,
-        fn_constructor_args=(index_dir, 2, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, SpanOrNearScorer, cfg, index_dir, 2, cfg.top_k)
 
 
 _SPAN_MULTI_NO_MATCH = "\x00span-multi-no-match"
@@ -1003,7 +760,7 @@ def span_multi_near_search(queries: list[dict], index_dir: str,
     return span_or_near_search(rd.from_items(rewritten), index_dir, cfg)
 
 
-class ConstantScoreScorer:
+class ConstantScoreScorer(Scorer):
     """ES ``constant_score``: a filter-context clause (here the AND of
     the query's terms) whose every match scores exactly ``boost`` — no
     BM25, no norms, the documented escape hatch from scoring. Matches
@@ -1013,121 +770,66 @@ class ConstantScoreScorer:
 
     def __init__(self, index_dir: str, boost: float = 1.2,
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.boost = boost
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            uniq = sorted(set(self.reader.analyzer(qtext)))
-            postings = self.reader.load_postings(uniq)
-            if len(postings) < len(uniq) or not uniq:
-                continue
-            from functools import reduce
-
-            cand = reduce(np.intersect1d,
-                          [postings[t].doc_ids for t in uniq]).astype(np.int64)
-            d = np.sort(cand)[:k]
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.tolist())
-            scores_out.extend([self.boost] * n)
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        uniq = sorted(set(self.reader.analyzer(row["query_text"])))
+        postings = self.reader.load_postings(uniq)
+        if len(postings) < len(uniq) or not uniq:
+            return None
+        cand = reduce(np.intersect1d, [postings[t].doc_ids for t in uniq]).astype(np.int64)
+        d = np.sort(cand)[:k]
+        return d, np.full(d.size, self.boost)
 
 
 def constant_score_search(queries_ds, index_dir: str, boost: float = 1.2,
                           cfg: EngineConfig = DEFAULT_CONFIG):
     """constant_score filter query: every AND-match scores ``boost``."""
-    return queries_ds.map_batches(
-        ConstantScoreScorer,
-        fn_constructor_args=(index_dir, boost, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, ConstantScoreScorer, cfg, index_dir, boost, cfg.top_k)
 
 
 # --- dis_max ------------------------------------------------------------------
 
 
-class DisMaxScorer:
+class DisMaxScorer(Scorer):
     """ES ``dis_max``: per doc, the BEST clause score plus
     ``tie_breaker`` × the other clauses' scores — the multi-field /
     multi-phrasing combinator (multi_match best_fields is dis_max over
     per-field clauses). Candidates are the union of the clauses'
     candidates; the combine is one np.unique + bincount/maximum.at."""
 
-    def __init__(self, index_dir: str, tie_breaker: float = 0.3, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
-        self.tie_breaker = tie_breaker
-        self.default_top_k = default_top_k
+    text_cols = ("clause_a", "clause_b")
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for col in ("clause_a", "clause_b"):
-            for t in batch[col]:
-                union.update(self.reader.analyzer(t))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, ca, cb) in enumerate(
-            zip(batch["query_id"], batch["clause_a"], batch["clause_b"])
-        ):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            parts = []
-            for clause in (ca, cb):
-                terms = sorted(set(self.reader.analyzer(clause)))
-                d, s = score_all(list(self.reader.load_postings(terms).values()))
-                parts.append((d, s))
-            all_docs = np.concatenate([d for d, _ in parts])
-            all_scores = np.concatenate([s for _, s in parts])
-            if all_docs.size == 0:
-                continue
-            uniq, inv = np.unique(all_docs, return_inverse=True)
-            sums = np.bincount(inv, weights=all_scores, minlength=uniq.size)
-            maxs = np.zeros(uniq.size, dtype=np.float64)
-            np.maximum.at(maxs, inv, all_scores)
-            combined = maxs + self.tie_breaker * (sums - maxs)
-            d, s = topk_desc(uniq, combined, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def __init__(self, index_dir: str, tie_breaker: float = 0.3, default_top_k: int = 10):
+        super().__init__(index_dir, default_top_k)
+        self.tie_breaker = tie_breaker
+
+    def hits(self, row: dict, k: int):
+        parts = [self.score_text(row[c]) for c in self.text_cols]
+        all_docs = np.concatenate([d for d, _ in parts])
+        if all_docs.size == 0:
+            return None
+        all_scores = np.concatenate([s for _, s in parts])
+        uniq, inv = np.unique(all_docs, return_inverse=True)
+        sums = np.bincount(inv, weights=all_scores, minlength=uniq.size)
+        maxs = np.zeros(uniq.size, dtype=np.float64)
+        np.maximum.at(maxs, inv, all_scores)
+        combined = maxs + self.tie_breaker * (sums - maxs)
+        return topk_desc(uniq, combined, k)
 
 
 def dis_max_search(queries_ds, index_dir: str, tie_breaker: float = 0.3,
                    cfg: EngineConfig = DEFAULT_CONFIG):
     """dis_max over two clauses; queries carry (query_id, clause_a,
     clause_b[, top_k])."""
-    return queries_ds.map_batches(
-        DisMaxScorer,
-        fn_constructor_args=(index_dir, tie_breaker, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, DisMaxScorer, cfg, index_dir, tie_breaker, cfg.top_k)
 
 
 # --- multi_match (cross-FIELD combinator) --------------------------------------
 
 
-class MultiMatchScorer:
+class MultiMatchScorer(Scorer):
     """ES ``multi_match``: ONE query text scored against several FIELDS —
     here separate field indexes built by the same machinery from the same
     corpus (word / shingle / char-trigram, the reference's multi-subfield
@@ -1156,48 +858,34 @@ class MultiMatchScorer:
         self.tie_breaker = float(tie_breaker)
         self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        for reader in self.readers:
-            union: set[str] = set()
-            for t in batch["query_text"]:
-                union.update(reader.analyzer(t))
-            reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, text) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            field_docs: list[np.ndarray] = []
-            field_scores: list[np.ndarray] = []
-            for reader, boost in zip(self.readers, self.boosts):
-                terms = sorted(set(reader.analyzer(text)))
-                d, s = score_all(list(reader.load_postings(terms).values()))
-                field_docs.append(d)
-                field_scores.append(s * boost)
-            all_docs = np.concatenate(field_docs)
-            if all_docs.size == 0:
-                continue
-            all_scores = np.concatenate(field_scores)
-            uniq, inv = np.unique(all_docs, return_inverse=True)
-            sums = np.bincount(inv, weights=all_scores, minlength=uniq.size)
-            if self.match_type == "most_fields":
-                combined = sums
-            else:
-                maxs = np.zeros(uniq.size, dtype=np.float64)
-                np.maximum.at(maxs, inv, all_scores)
-                combined = maxs + self.tie_breaker * (sums - maxs)
-            d, s = topk_desc(uniq, combined, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def preload(self, rows: list[dict]) -> None:
+        for reader in self.readers:  # each field analyzes with its own analyzer
+            load_terms(reader, (row["query_text"] for row in rows))
+
+    def hits(self, row: dict, k: int):
+        field_docs: list[np.ndarray] = []
+        field_scores: list[np.ndarray] = []
+        for reader, boost in zip(self.readers, self.boosts):
+            terms = sorted(set(reader.analyzer(row["query_text"])))
+            d, s = score_all(list(reader.load_postings(terms).values()))
+            field_docs.append(d)
+            field_scores.append(s * boost)
+        all_docs = np.concatenate(field_docs)
+        if all_docs.size == 0:
+            return None
+        all_scores = np.concatenate(field_scores)
+        uniq, inv = np.unique(all_docs, return_inverse=True)
+        sums = np.bincount(inv, weights=all_scores, minlength=uniq.size)
+        if self.match_type == "most_fields":
+            combined = sums
+        else:
+            maxs = np.zeros(uniq.size, dtype=np.float64)
+            np.maximum.at(maxs, inv, all_scores)
+            combined = maxs + self.tie_breaker * (sums - maxs)
+        return topk_desc(uniq, combined, k)
 
 
-class SparseVectorScorer:
+class SparseVectorScorer(Scorer):
     """ES ``sparse_vector`` query (the ELSER / learned-sparse retrieval
     shape): the query is a {token: weight} map, the document side a
     sparse token→weight vector, score = the sparse dot product. The
@@ -1208,61 +896,39 @@ class SparseVectorScorer:
     posting lists; tombstone-aware doc sets come from the filtered
     postings, tf values from the raw decode."""
 
+    columns = {**RESULT_COLUMNS, "score": np.int64}
+
     def __init__(self, index_dir: str, specs: dict[str, dict[str, int]],
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.specs = {qid: {t: int(w) for t, w in m.items()}
                       for qid, m in specs.items()}
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qid in batch["query_id"]:
-            union.update(self.specs[qid])
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, qid in enumerate(batch["query_id"]):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            spec = self.specs[qid]
-            postings = self.reader.load_postings(sorted(spec))
-            t_docs: list[np.ndarray] = []
-            t_scores: list[np.ndarray] = []
-            for t, w in spec.items():
-                p = postings.get(t)
-                if p is None or p.doc_ids.size == 0:
-                    continue
-                raw = self.reader.load_raw(t)
-                docs = p.doc_ids.astype(np.int64)
-                at = np.searchsorted(raw[0].astype(np.int64), docs)
-                tf = raw[1][at].astype(np.int64)
-                t_docs.append(docs)
-                t_scores.append(w * tf)
-            if not t_docs:
+    def preload(self, rows: list[dict]) -> None:
+        self.reader.load_postings(sorted({t for row in rows for t in self.specs[row["query_id"]]}))
+
+    def hits(self, row: dict, k: int):
+        spec = self.specs[row["query_id"]]
+        postings = self.reader.load_postings(sorted(spec))
+        t_docs: list[np.ndarray] = []
+        t_scores: list[np.ndarray] = []
+        for t, w in spec.items():
+            p = postings.get(t)
+            if p is None or p.doc_ids.size == 0:
                 continue
-            d_all = np.concatenate(t_docs)
-            s_all = np.concatenate(t_scores)
-            uniq, inv = np.unique(d_all, return_inverse=True)
-            tot = np.zeros(uniq.size, dtype=np.int64)
-            np.add.at(tot, inv, s_all)
-            order = np.lexsort((uniq, -tot))[:k]
-            n = order.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(uniq[order].tolist())
-            scores_out.extend(tot[order].tolist())
-        if not qids:
-            return pd.DataFrame({"query_id": pd.Series([], dtype=object),
-                                 "rank": pd.Series([], dtype=np.int32),
-                                 "doc_id": pd.Series([], dtype=np.int64),
-                                 "score": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({"query_id": qids,
-                             "rank": pd.Series(ranks, dtype=np.int32),
-                             "doc_id": pd.Series(docs_out, dtype=np.int64),
-                             "score": pd.Series(scores_out, dtype=np.int64)})
+            raw = self.reader.load_raw(t)
+            docs = p.doc_ids.astype(np.int64)
+            at = np.searchsorted(raw[0].astype(np.int64), docs)
+            tf = raw[1][at].astype(np.int64)
+            t_docs.append(docs)
+            t_scores.append(w * tf)
+        if not t_docs:
+            return None
+        uniq, inv = np.unique(np.concatenate(t_docs), return_inverse=True)
+        tot = np.zeros(uniq.size, dtype=np.int64)
+        np.add.at(tot, inv, np.concatenate(t_scores))
+        order = np.lexsort((uniq, -tot))[:k]
+        return uniq[order], tot[order]
 
 
 def sparse_vector_search(queries_ds, index_dir: str,
@@ -1271,16 +937,10 @@ def sparse_vector_search(queries_ds, index_dir: str,
     """sparse_vector retrieval; queries carry (query_id[, top_k]), the
     {token: weight} maps ship in the constructor (one dictionary scan
     per actor)."""
-    return queries_ds.map_batches(
-        SparseVectorScorer,
-        fn_constructor_args=(index_dir, specs, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, SparseVectorScorer, cfg, index_dir, specs, cfg.top_k)
 
 
-class TermsSetScorer:
+class TermsSetScorer(Scorer):
     """ES ``terms_set`` query: a should-style term disjunction whose
     minimum match count comes from a PER-DOCUMENT field
     (``minimum_should_match_field``) — doc d qualifies iff it contains
@@ -1293,7 +953,7 @@ class TermsSetScorer:
 
     def __init__(self, index_dir: str, field_key: str = "turn_idx",
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
             columns=["doc_id", field_key])
         ids = dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1301,60 +961,34 @@ class TermsSetScorer:
         self.dm_ids = ids[order]
         self.field = (dm[field_key].take(pa.array(order))
                       .to_numpy(zero_copy_only=False).astype(np.int64))
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for t in batch["query_text"]:
-            union.update(self.reader.analyzer(t))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, text) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(text)))
-            postings = self.reader.load_postings(terms)
-            present = [t for t in terms if t in postings and postings[t].doc_ids.size]
-            if not present:
-                continue
-            d_all = np.concatenate([postings[t].doc_ids.astype(np.int64)
-                                    for t in present])
-            s_all = np.concatenate([postings[t].factors * postings[t].idf
-                                    for t in present])
-            uniq, inv = np.unique(d_all, return_inverse=True)
-            matched = np.bincount(inv, minlength=uniq.size)
-            scores = np.bincount(inv, weights=s_all, minlength=uniq.size)
-            at = np.searchsorted(self.dm_ids, uniq)
-            need = np.clip(self.field[at], 1, len(terms))
-            hit = matched >= need
-            if not hit.any():
-                continue
-            d, s = topk_desc(uniq[hit].astype(np.uint64), scores[hit], k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        terms = sorted(set(self.reader.analyzer(row["query_text"])))
+        postings = self.reader.load_postings(terms)
+        present = [t for t in terms if t in postings and postings[t].doc_ids.size]
+        if not present:
+            return None
+        d_all = np.concatenate([postings[t].doc_ids.astype(np.int64)
+                                for t in present])
+        s_all = np.concatenate([postings[t].factors * postings[t].idf
+                                for t in present])
+        uniq, inv = np.unique(d_all, return_inverse=True)
+        matched = np.bincount(inv, minlength=uniq.size)
+        scores = np.bincount(inv, weights=s_all, minlength=uniq.size)
+        at = np.searchsorted(self.dm_ids, uniq)
+        need = np.clip(self.field[at], 1, len(terms))
+        hit = matched >= need
+        return topk_desc(uniq[hit].astype(np.uint64), scores[hit], k)
 
 
 def terms_set_search(queries_ds, index_dir: str, field_key: str = "turn_idx",
                      cfg: EngineConfig = DEFAULT_CONFIG):
     """terms_set with minimum_should_match_field; queries carry
     (query_id, query_text[, top_k])."""
-    return queries_ds.map_batches(
-        TermsSetScorer,
-        fn_constructor_args=(index_dir, field_key, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, TermsSetScorer, cfg, index_dir, field_key, cfg.top_k)
 
 
-class CrossFieldsScorer:
+class CrossFieldsScorer(Scorer):
     """ES ``multi_match`` type=``cross_fields``: TERM-centric — each
     query term looks for its best field (dis_max per term, default
     ``tie_breaker=0.0`` = pure max, the ES default), then term scores
@@ -1380,57 +1014,40 @@ class CrossFieldsScorer:
         self.tie_breaker = float(tie_breaker)
         self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for t in batch["query_text"]:
-            union.update(self.readers[0].analyzer(t))
-        for reader in self.readers:
-            reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, text) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.readers[0].analyzer(text)))
-            term_docs: list[np.ndarray] = []
-            term_scores: list[np.ndarray] = []
-            for t in terms:
-                f_docs: list[np.ndarray] = []
-                f_scores: list[np.ndarray] = []
-                for reader, boost in zip(self.readers, self.boosts):
-                    p = reader.load_postings([t]).get(t)
-                    if p is not None and p.doc_ids.size:
-                        f_docs.append(p.doc_ids.astype(np.int64))
-                        f_scores.append(p.factors * p.idf * boost)
-                if not f_docs:
-                    continue
-                d_all = np.concatenate(f_docs)
-                s_all = np.concatenate(f_scores)
-                uniq, inv = np.unique(d_all, return_inverse=True)
-                maxs = np.zeros(uniq.size, dtype=np.float64)
-                np.maximum.at(maxs, inv, s_all)
-                if self.tie_breaker:
-                    sums = np.bincount(inv, weights=s_all, minlength=uniq.size)
-                    tsc = maxs + self.tie_breaker * (sums - maxs)
-                else:
-                    tsc = maxs
-                term_docs.append(uniq)
-                term_scores.append(tsc)
-            if not term_docs:
+    def preload(self, rows: list[dict]) -> None:
+        _load_shared_terms(self.readers, rows)
+
+    def hits(self, row: dict, k: int):
+        terms = sorted(set(self.readers[0].analyzer(row["query_text"])))
+        term_docs: list[np.ndarray] = []
+        term_scores: list[np.ndarray] = []
+        for t in terms:
+            f_docs: list[np.ndarray] = []
+            f_scores: list[np.ndarray] = []
+            for reader, boost in zip(self.readers, self.boosts):
+                p = reader.load_postings([t]).get(t)
+                if p is not None and p.doc_ids.size:
+                    f_docs.append(p.doc_ids.astype(np.int64))
+                    f_scores.append(p.factors * p.idf * boost)
+            if not f_docs:
                 continue
-            d_all = np.concatenate(term_docs)
-            s_all = np.concatenate(term_scores)
+            d_all = np.concatenate(f_docs)
+            s_all = np.concatenate(f_scores)
             uniq, inv = np.unique(d_all, return_inverse=True)
-            combined = np.bincount(inv, weights=s_all, minlength=uniq.size)
-            d, s = topk_desc(uniq.astype(np.uint64), combined, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+            maxs = np.zeros(uniq.size, dtype=np.float64)
+            np.maximum.at(maxs, inv, s_all)
+            if self.tie_breaker:
+                sums = np.bincount(inv, weights=s_all, minlength=uniq.size)
+                tsc = maxs + self.tie_breaker * (sums - maxs)
+            else:
+                tsc = maxs
+            term_docs.append(uniq)
+            term_scores.append(tsc)
+        if not term_docs:
+            return None
+        uniq, inv = np.unique(np.concatenate(term_docs), return_inverse=True)
+        combined = np.bincount(inv, weights=np.concatenate(term_scores), minlength=uniq.size)
+        return topk_desc(uniq.astype(np.uint64), combined, k)
 
 
 def cross_fields_search(queries_ds, field_dirs: list[str], boosts: list[float],
@@ -1438,13 +1055,8 @@ def cross_fields_search(queries_ds, field_dirs: list[str], boosts: list[float],
                         cfg: EngineConfig = DEFAULT_CONFIG):
     """multi_match cross_fields over same-analyzer field indexes; queries
     carry (query_id, query_text[, top_k])."""
-    return queries_ds.map_batches(
-        CrossFieldsScorer,
-        fn_constructor_args=(field_dirs, boosts, tie_breaker, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, CrossFieldsScorer, cfg, field_dirs, boosts, tie_breaker,
+                      cfg.top_k)
 
 
 def doc_lengths(transcripts_ds, analyzer_cfg):
@@ -1466,7 +1078,7 @@ def doc_lengths(transcripts_ds, analyzer_cfg):
     return transcripts_ds.map_batches(f, batch_format="pyarrow", batch_size=8192)
 
 
-class CombinedFieldsScorer:
+class CombinedFieldsScorer(Scorer):
     """ES ``combined_fields`` query (Lucene ``CombinedFieldQuery``, the
     BM25F simplification of Robertson et al. 2004): same-analyzer
     fields are merged into ONE synthetic field before scoring —
@@ -1506,67 +1118,46 @@ class CombinedFieldsScorer:
         self.k1, self.b = float(m.k1), float(m.b)
         self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for t in batch["query_text"]:
-            union.update(self.readers[0].analyzer(t))
-        for reader in self.readers:
-            reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, text) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.readers[0].analyzer(text)))
-            d_parts: list[np.ndarray] = []
-            s_parts: list[np.ndarray] = []
-            for t in terms:
-                f_ids: list[np.ndarray] = []
-                f_tfs: list[np.ndarray] = []
-                for reader, w in zip(self.readers, self.weights):
-                    raw = reader.load_raw(t)
-                    if raw is not None and raw[0].size:
-                        f_ids.append(raw[0].astype(np.int64))
-                        f_tfs.append(w * raw[1].astype(np.float64))
-                if not f_ids:
-                    continue
-                alld = np.concatenate(f_ids)
-                uniq, inv = np.unique(alld, return_inverse=True)
-                ctf = np.bincount(inv, weights=np.concatenate(f_tfs))
-                df = float(uniq.size)
-                idf = np.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-                cdl = self.norm_cdl[np.searchsorted(self.norm_ids, uniq)]
-                s = (idf * ctf * (self.k1 + 1.0)
-                     / (ctf + self.k1 * ((1.0 - self.b) + self.b * cdl / self.avgdl)))
-                d_parts.append(uniq)
-                s_parts.append(s)
-            if not d_parts:
+    def preload(self, rows: list[dict]) -> None:
+        _load_shared_terms(self.readers, rows)
+
+    def hits(self, row: dict, k: int):
+        terms = sorted(set(self.readers[0].analyzer(row["query_text"])))
+        d_parts: list[np.ndarray] = []
+        s_parts: list[np.ndarray] = []
+        for t in terms:
+            f_ids: list[np.ndarray] = []
+            f_tfs: list[np.ndarray] = []
+            for reader, w in zip(self.readers, self.weights):
+                raw = reader.load_raw(t)
+                if raw is not None and raw[0].size:
+                    f_ids.append(raw[0].astype(np.int64))
+                    f_tfs.append(w * raw[1].astype(np.float64))
+            if not f_ids:
                 continue
-            alld = np.concatenate(d_parts)
+            alld = np.concatenate(f_ids)
             uniq, inv = np.unique(alld, return_inverse=True)
-            combined = np.bincount(inv, weights=np.concatenate(s_parts))
-            d, s = topk_desc(uniq.astype(np.uint64), combined, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+            ctf = np.bincount(inv, weights=np.concatenate(f_tfs))
+            df = float(uniq.size)
+            idf = np.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+            cdl = self.norm_cdl[np.searchsorted(self.norm_ids, uniq)]
+            s = (idf * ctf * (self.k1 + 1.0)
+                 / (ctf + self.k1 * ((1.0 - self.b) + self.b * cdl / self.avgdl)))
+            d_parts.append(uniq)
+            s_parts.append(s)
+        if not d_parts:
+            return None
+        uniq, inv = np.unique(np.concatenate(d_parts), return_inverse=True)
+        combined = np.bincount(inv, weights=np.concatenate(s_parts))
+        return topk_desc(uniq.astype(np.uint64), combined, k)
 
 
 def combined_fields_search(queries_ds, field_dirs: list[str], weights: list[float],
                            norms_paths: list[str], cfg: EngineConfig = DEFAULT_CONFIG):
     """ES combined_fields over same-analyzer field indexes with
     doc_lengths norms sidecars; queries carry (query_id, query_text[, top_k])."""
-    return queries_ds.map_batches(
-        CombinedFieldsScorer,
-        fn_constructor_args=(field_dirs, weights, norms_paths, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, CombinedFieldsScorer, cfg, field_dirs, weights, norms_paths,
+                      cfg.top_k)
 
 
 def multi_match_search(queries_ds, field_dirs: list[str], boosts: list[float],
@@ -1574,19 +1165,14 @@ def multi_match_search(queries_ds, field_dirs: list[str], boosts: list[float],
                        cfg: EngineConfig = DEFAULT_CONFIG):
     """multi_match over field indexes; queries carry
     (query_id, query_text[, top_k])."""
-    return queries_ds.map_batches(
-        MultiMatchScorer,
-        fn_constructor_args=(field_dirs, boosts, match_type, tie_breaker, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, MultiMatchScorer, cfg, field_dirs, boosts, match_type,
+                      tie_breaker, cfg.top_k)
 
 
 # --- sort-by-field query ---------------------------------------------------------
 
 
-class FieldSortScorer:
+class FieldSortScorer(Scorer):
     """ES sort-by-field retrieval (``"sort": [{"conv_id": "asc"}, ...]``):
     documents matching ≥1 query term ordered by DOC FIELDS instead of
     relevance — scoring is skipped entirely (ES ``track_scores: false``).
@@ -1596,7 +1182,7 @@ class FieldSortScorer:
 
     def __init__(self, index_dir: str, keys: tuple[str, str] = ("conv_id", "turn_idx"),
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.keys = keys
         # one docmap read for doc_id + both sort-key columns
         dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
@@ -1607,50 +1193,25 @@ class FieldSortScorer:
         self.dm_ids = ids[order]
         self.dm_k1 = dm[keys[0]].take(pa.array(order)).to_numpy(zero_copy_only=False)
         self.dm_k2 = dm[keys[1]].take(pa.array(order)).to_numpy(zero_copy_only=False)
-        self.default_top_k = default_top_k
+        self.columns = {"query_id": str, "rank": np.int32, keys[0]: self.dm_k1.dtype,
+                        keys[1]: self.dm_k2.dtype, "doc_id": np.int64}
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        frames: list[pd.DataFrame] = []
+    def hits(self, row: dict, k: int):
         from hybrid_sanctions_search_engine_ray.stages.facets import matching_doc_ids
 
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            docs = matching_doc_ids(self.reader, qtext).astype(np.int64)
-            if docs.size == 0:
-                continue
-            pos = np.searchsorted(self.dm_ids, docs)
-            g = pd.DataFrame(
-                {self.keys[0]: self.dm_k1[pos], self.keys[1]: self.dm_k2[pos], "doc_id": docs}
-            )
-            g = g.sort_values([*self.keys, "doc_id"], kind="mergesort").head(k)
-            g = g.reset_index(drop=True)
-            g.insert(0, "query_id", qid)
-            g.insert(1, "rank", np.arange(1, len(g) + 1, dtype=np.int32))
-            frames.append(g)
-        if not frames:
-            return pd.DataFrame({"query_id": pd.Series([], dtype=object),
-                                 "rank": pd.Series([], dtype=np.int32),
-                                 self.keys[0]: pd.Series([], dtype=object),
-                                 self.keys[1]: pd.Series([], dtype=np.int64),
-                                 "doc_id": pd.Series([], dtype=np.int64)})
-        return pd.concat(frames, ignore_index=True)
+        docs = matching_doc_ids(self.reader, row["query_text"]).astype(np.int64)
+        pos = np.searchsorted(self.dm_ids, docs)
+        g = pd.DataFrame(
+            {self.keys[0]: self.dm_k1[pos], self.keys[1]: self.dm_k2[pos], "doc_id": docs}
+        )
+        g = g.sort_values([*self.keys, "doc_id"], kind="mergesort").head(k)
+        return tuple(g[c].to_numpy() for c in g.columns)
 
 
 def field_sort_search(queries_ds, index_dir: str, keys: tuple[str, str] = ("conv_id", "turn_idx"),
                       cfg: EngineConfig = DEFAULT_CONFIG):
     """sort-by-field retrieval; queries carry (query_id, query_text[, top_k])."""
-    return queries_ds.map_batches(
-        FieldSortScorer,
-        fn_constructor_args=(index_dir, keys, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, FieldSortScorer, cfg, index_dir, keys, cfg.top_k)
 
 
 # --- terms enum (dictionary paging) ------------------------------------------------
@@ -1835,14 +1396,14 @@ def fuzzy_search(queries: dict[str, str], index_dir: str, vocab_ds,
         if terms:
             items.append({"query_id": qid, "query_text": " ".join(terms), "top_k": top_k})
     if not items:
-        return rd.from_pandas(pd.DataFrame(_RESULT_SCHEMA))
+        return rd.from_pandas(_result_frame())
     return search(rd.from_items(items), index_dir, cfg, method="taat")
 
 
 # --- match_phrase_prefix ---------------------------------------------------------
 
 
-class PhrasePrefixScorer:
+class PhrasePrefixScorer(Scorer):
     """ES ``match_phrase_prefix``: the phrase's last token is a prefix —
     a doc matches when the fixed tokens occur contiguously and ANY
     dictionary expansion of the prefix occupies the next position.
@@ -1853,90 +1414,70 @@ class PhrasePrefixScorer:
 
     def __init__(self, index_dir: str, specs: dict[str, tuple[list[str], list[str]]],
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.specs = specs
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        from functools import reduce
+    def preload(self, rows: list[dict]) -> None:
+        self.reader.load_postings(sorted(
+            {t for row in rows for part in self.specs[row["query_id"]] for t in part}))
 
-        union: set[str] = set()
-        for qid in batch["query_id"]:
-            fixed, alts = self.specs[qid]
-            union.update(fixed)
-            union.update(alts)
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, qid in enumerate(batch["query_id"]):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            fixed, alts = self.specs[qid]
-            fixed_postings = self.reader.load_postings(sorted(set(fixed)))
-            if len(fixed_postings) < len(set(fixed)) or not alts:
+    def hits(self, row: dict, k: int):
+        fixed, alts = self.specs[row["query_id"]]
+        fixed_postings = self.reader.load_postings(sorted(set(fixed)))
+        if len(fixed_postings) < len(set(fixed)) or not alts:
+            return None
+        alt_postings = self.reader.load_postings(sorted(set(alts)))
+        if not alt_postings:
+            return None
+        alt_union = np.unique(np.concatenate([p.doc_ids for p in alt_postings.values()]))
+        if fixed_postings:
+            cand = reduce(np.intersect1d, [p.doc_ids for p in fixed_postings.values()])
+            cand = np.intersect1d(cand, alt_union).astype(np.int64)
+        else:
+            # single-token phrase prefix == plain prefix match
+            cand = alt_union.astype(np.int64)
+        if cand.size == 0:
+            return None
+        pos = {t: self.reader.load_positions(t) for t in set(fixed) | set(alt_postings)}
+        if any(p is None for p in pos.values()):
+            raise ValueError("match_phrase_prefix requires store_positions=True")
+        matched: list[int] = []
+        for d in cand:
+            prev: np.ndarray | None = None
+            ok = True
+            for t in fixed:
+                doc_ids, offsets, flat = pos[t]
+                at = int(np.searchsorted(doc_ids, d))
+                p_t = flat[offsets[at] : offsets[at + 1]].astype(np.int64)
+                if prev is not None:
+                    p_t = p_t[np.isin(p_t - 1, prev)]
+                if p_t.size == 0:
+                    ok = False
+                    break
+                prev = p_t
+            if not ok:
                 continue
-            alt_postings = self.reader.load_postings(sorted(set(alts)))
-            if not alt_postings:
+            if prev is None:  # no fixed tokens: any expansion position matches
+                matched.append(int(d))
                 continue
-            alt_union = np.unique(np.concatenate([p.doc_ids for p in alt_postings.values()]))
-            if fixed_postings:
-                cand = reduce(np.intersect1d, [p.doc_ids for p in fixed_postings.values()])
-                cand = np.intersect1d(cand, alt_union).astype(np.int64)
-            else:
-                # single-token phrase prefix == plain prefix match
-                cand = alt_union.astype(np.int64)
-            if cand.size == 0:
-                continue
-            pos = {t: self.reader.load_positions(t) for t in set(fixed) | set(alt_postings)}
-            if any(p is None for p in pos.values()):
-                raise ValueError("match_phrase_prefix requires store_positions=True")
-            matched: list[int] = []
-            for d in cand:
-                prev: np.ndarray | None = None
-                ok = True
-                for t in fixed:
-                    doc_ids, offsets, flat = pos[t]
-                    at = int(np.searchsorted(doc_ids, d))
+            # an expansion term that ALSO appears in fixed still counts
+            # at the final position (oracle parity: pl.term LIKE 'pre%')
+            for t in alt_postings:
+                doc_ids, offsets, flat = pos[t]
+                at = int(np.searchsorted(doc_ids, d))
+                if at < doc_ids.size and doc_ids[at] == d:
                     p_t = flat[offsets[at] : offsets[at + 1]].astype(np.int64)
-                    if prev is not None:
-                        p_t = p_t[np.isin(p_t - 1, prev)]
-                    if p_t.size == 0:
-                        ok = False
+                    if np.isin(p_t - 1, prev).any():
+                        matched.append(int(d))
                         break
-                    prev = p_t
-                if not ok:
-                    continue
-                if prev is None:  # no fixed tokens: any expansion position matches
-                    matched.append(int(d))
-                    continue
-                # an expansion term that ALSO appears in fixed still counts
-                # at the final position (oracle parity: pl.term LIKE 'pre%')
-                for t in alt_postings:
-                    doc_ids, offsets, flat = pos[t]
-                    at = int(np.searchsorted(doc_ids, d))
-                    if at < doc_ids.size and doc_ids[at] == d:
-                        p_t = flat[offsets[at] : offsets[at + 1]].astype(np.int64)
-                        if np.isin(p_t - 1, prev).any():
-                            matched.append(int(d))
-                            break
-            if not matched:
-                continue
-            m = np.array(matched, dtype=np.uint64)
-            scores = np.zeros(m.size, dtype=np.float64)
-            for p in {**fixed_postings, **alt_postings}.values():
-                at = np.searchsorted(p.doc_ids, m)
-                safe = np.minimum(at, p.doc_ids.size - 1)
-                hit = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-                scores[hit] += p.factors[at[hit]] * p.idf
-            d_top, s_top = topk_desc(m, scores, k)
-            n = d_top.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d_top.astype(np.int64).tolist())
-            scores_out.extend(s_top.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+        m = np.array(matched, dtype=np.uint64)
+        scores = np.zeros(m.size, dtype=np.float64)
+        for p in {**fixed_postings, **alt_postings}.values():
+            at = np.searchsorted(p.doc_ids, m)
+            safe = np.minimum(at, p.doc_ids.size - 1)
+            hit = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
+            scores[hit] += p.factors[at[hit]] * p.idf
+        return topk_desc(m, scores, k)
 
 
 def match_phrase_prefix(queries: dict[str, str], index_dir: str,
@@ -1955,13 +1496,7 @@ def match_phrase_prefix(queries: dict[str, str], index_dir: str,
     expanded = expand_wildcards(index_dir, prefixes)
     specs = {qid: (fixed, expanded.get(qid, [])) for qid, (fixed, _) in specs.items()}
     qs = rd.from_items([{"query_id": qid, "top_k": top_k} for qid in sorted(queries)])
-    return qs.map_batches(
-        PhrasePrefixScorer,
-        fn_constructor_args=(index_dir, specs, top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(qs, PhrasePrefixScorer, cfg, index_dir, specs, top_k)
 
 
 # --- query_string mini-language ---------------------------------------------------
@@ -2005,7 +1540,7 @@ def query_string_search(queries: dict[str, str], index_dir: str,
 # --- has_parent (parent match → child expansion) --------------------------------
 
 
-class HasParentScorer:
+class HasParentScorer(Scorer):
     """ES ``has_parent`` (score=true): rank PARENTS (conversations) by
     their children's best BM25 score, then return every CHILD (turn) of
     the top parents with the parent's score inherited — the inverse of
@@ -2015,66 +1550,38 @@ class HasParentScorer:
     over the in-actor key column — no extra reads."""
 
     def __init__(self, index_dir: str, key: str = "conv_id", default_top_k: int = 3):
-        self.reader = IndexReader(index_dir)
-        self.key = key
+        super().__init__(index_dir, default_top_k)
         self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
         # key-sorted view for O(log n) member expansion (a per-parent
         # boolean scan of the whole docmap would dominate at 10^7+ docs)
         self._key_order = np.argsort(self.dm_keys, kind="stable")
         self._keys_sorted = self.dm_keys[self._key_order]
-        self.default_top_k = default_top_k
+        self.columns = {"query_id": str, "rank": np.int32, key: object, "doc_id": np.int64,
+                        "score": np.float64}
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        rows: dict[str, list] = {"query_id": [], "rank": [], "conv": [], "doc_id": [],
-                                 "score": []}
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            keys = self.dm_keys[np.searchsorted(self.dm_ids, docs.astype(np.int64))]
-            uniq, inv = np.unique(keys, return_inverse=True)
-            best = np.zeros(uniq.size, np.float64)
-            np.maximum.at(best, inv, scores)
-            order = np.lexsort((uniq, -best))[:k]  # (score desc, key asc)
-            for rank, gi in enumerate(order, start=1):
-                conv = uniq[gi]
-                lo = np.searchsorted(self._keys_sorted, conv, side="left")
-                hi = np.searchsorted(self._keys_sorted, conv, side="right")
-                members = self.dm_ids[self._key_order[lo:hi]]
-                n = members.size
-                rows["query_id"].extend([qid] * n)
-                rows["rank"].extend([rank] * n)
-                rows["conv"].extend([conv] * n)
-                rows["doc_id"].extend(members.tolist())
-                rows["score"].extend([float(best[gi])] * n)
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(rows["query_id"], dtype="string[python]").astype(object),
-                "rank": pd.Series(rows["rank"], dtype=np.int32),
-                self.key: pd.Series(rows["conv"], dtype=object),
-                "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-                "score": pd.Series(rows["score"], dtype=np.float64),
-            }
-        )
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        keys = self.dm_keys[np.searchsorted(self.dm_ids, docs.astype(np.int64))]
+        uniq, inv = np.unique(keys, return_inverse=True)
+        best = np.zeros(uniq.size, np.float64)
+        np.maximum.at(best, inv, scores)
+        order = np.lexsort((uniq, -best))[:k]  # (score desc, key asc)
+        members = [
+            self.dm_ids[self._key_order[np.searchsorted(self._keys_sorted, conv, side="left"):
+                                        np.searchsorted(self._keys_sorted, conv, side="right")]]
+            for conv in uniq[order]
+        ]
+        n = [m.size for m in members]
+        return (np.repeat(np.arange(1, order.size + 1), n), np.repeat(uniq[order], n),
+                np.concatenate(members), np.repeat(best[order], n))
 
 
 def has_parent_search(queries_ds, index_dir: str, key: str = "conv_id",
                       top_parents: int = 3, cfg: EngineConfig = DEFAULT_CONFIG):
     """has_parent: every child of the top-N best-scoring parents."""
-    return queries_ds.map_batches(
-        HasParentScorer,
-        fn_constructor_args=(index_dir, key, top_parents),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, HasParentScorer, cfg, index_dir, key, top_parents)
 
 
 def anchor_regex(p: str) -> str:
@@ -2097,7 +1604,7 @@ def regexp_search(patterns: dict[str, str], index_dir: str,
     items = [{"query_id": qid, "query_text": " ".join(ts), "top_k": top_k}
              for qid, ts in sorted(expanded.items()) if ts]
     if not items:
-        return rd.from_pandas(pd.DataFrame(_RESULT_SCHEMA))
+        return rd.from_pandas(_result_frame())
     return search(rd.from_items(items), index_dir, cfg, method="taat")
 
 
@@ -2113,7 +1620,7 @@ def _char3_set(text: str) -> set:
     return out
 
 
-class MMRScorer:
+class MMRScorer(Scorer):
     """Maximal Marginal Relevance reranking — the diversified-retrieval
     step of a RAG stack: greedily pick
     ``argmax λ·rel − (1−λ)·max_sim(selected)`` from the first-pass BM25
@@ -2126,11 +1633,10 @@ class MMRScorer:
 
     def __init__(self, index_dir: str, source_path: str, window: int = 20,
                  lam: float = 0.7, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.source_path = source_path
         self.window = window
         self.lam = lam
-        self.default_top_k = default_top_k
 
     def _texts(self, doc_ids: np.ndarray) -> dict[int, str]:
         import pyarrow.parquet as pq
@@ -2139,114 +1645,71 @@ class MMRScorer:
                             filters=[("doc_id", "in", sorted(int(d) for d in doc_ids))])
         return dict(zip(tbl["doc_id"].to_pylist(), tbl["text"].to_pylist()))
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            wdocs, wscores = topk_desc(docs, scores, self.window)
-            w64 = wdocs.astype(np.int64)
-            texts = self._texts(w64)
-            grams = [_char3_set(texts.get(int(d), "") or "") for d in w64]
-            rel = wscores / wscores[0] if wscores[0] > 0 else wscores
-            n = w64.size
-            selected: list[int] = []
-            chosen = np.zeros(n, dtype=bool)
-            max_sim = np.zeros(n, dtype=np.float64)
-            for _ in range(min(k, n)):
-                gain = self.lam * rel - (1.0 - self.lam) * max_sim
-                gain[chosen] = -np.inf
-                best = int(np.lexsort((w64, -gain))[0])
-                chosen[best] = True
-                selected.append(best)
-                gb = grams[best]
-                for j in range(n):
-                    if not chosen[j]:
-                        u = len(gb | grams[j])
-                        s = (len(gb & grams[j]) / u) if u else 0.0
-                        if s > max_sim[j]:
-                            max_sim[j] = s
-            m = len(selected)
-            qids.extend([qid] * m)
-            ranks.extend(range(1, m + 1))
-            docs_out.extend(w64[selected].tolist())
-            scores_out.extend(wscores[selected].tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        wdocs, wscores = topk_desc(docs, scores, self.window)
+        w64 = wdocs.astype(np.int64)
+        texts = self._texts(w64)
+        grams = [_char3_set(texts.get(int(d), "") or "") for d in w64]
+        rel = wscores / wscores[0] if wscores[0] > 0 else wscores
+        n = w64.size
+        selected: list[int] = []
+        chosen = np.zeros(n, dtype=bool)
+        max_sim = np.zeros(n, dtype=np.float64)
+        for _ in range(min(k, n)):
+            gain = self.lam * rel - (1.0 - self.lam) * max_sim
+            gain[chosen] = -np.inf
+            best = int(np.lexsort((w64, -gain))[0])
+            chosen[best] = True
+            selected.append(best)
+            gb = grams[best]
+            for j in range(n):
+                if not chosen[j]:
+                    u = len(gb | grams[j])
+                    s = (len(gb & grams[j]) / u) if u else 0.0
+                    if s > max_sim[j]:
+                        max_sim[j] = s
+        return w64[selected], wscores[selected]
 
 
 def mmr_search(queries_ds, index_dir: str, source_path: str, window: int = 20,
                lam: float = 0.7, cfg: EngineConfig = DEFAULT_CONFIG):
     """Diversified retrieval: BM25 window → greedy MMR rerank."""
-    return queries_ds.map_batches(
-        MMRScorer,
-        fn_constructor_args=(index_dir, source_path, window, lam, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, MMRScorer, cfg, index_dir, source_path, window, lam,
+                      cfg.top_k)
 
 
 # --- match count (the ES _count API) -----------------------------------------------
 
 
-class CountScorer:
+class CountScorer(Scorer):
     """ES ``_count``: number of docs matching ≥1 query term (the OR
     candidate set), straight off the posting lists — no scoring, no
     ranking, no corpus scan."""
 
-    def __init__(self, index_dir: str):
-        self.reader = IndexReader(index_dir)
+    columns = {"query_id": str, "n_matches": np.int64}
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        qids: list = []
-        counts: list = []
-        for qid, qtext in zip(batch["query_id"], batch["query_text"]):
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            postings = self.reader.load_postings(terms)
-            if postings:
-                n = int(np.unique(np.concatenate([p.doc_ids for p in postings.values()])).size)
-            else:
-                n = 0
-            qids.append(qid)
-            counts.append(n)
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(qids, dtype="string[python]").astype(object),
-                "n_matches": pd.Series(counts, dtype=np.int64),
-            }
-        )
+    def __init__(self, index_dir: str):
+        super().__init__(index_dir)
+
+    def hits(self, row: dict, k: int):
+        postings = self.reader.load_postings(sorted(set(self.reader.analyzer(row["query_text"]))))
+        if not postings:
+            return [0],
+        return [np.unique(np.concatenate([p.doc_ids for p in postings.values()])).size],
 
 
 def count_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG):
     """_count endpoint: per query, the OR-match doc count."""
-    return queries_ds.map_batches(
-        CountScorer,
-        fn_constructor_args=(index_dir,),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, CountScorer, cfg, index_dir)
 
 
 # --- rank_feature / distance_feature ------------------------------------------
 
 
-class FeatureScorer:
+class FeatureScorer(Scorer):
     """ES ``rank_feature`` / ``distance_feature`` queries: BM25 over the
     FULL candidate set plus a per-doc feature term — ``boost·f/(f+pivot)``
     (saturation), ``boost·ln(scaling+f)`` (log) or
@@ -2266,7 +1729,7 @@ class FeatureScorer:
                  default_top_k: int = 10):
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
             columns=["doc_id", feature_key]
         )
@@ -2280,7 +1743,6 @@ class FeatureScorer:
         self.mode, self.boost = mode, float(boost)
         self.pivot, self.origin, self.scaling = float(pivot), float(origin), float(scaling)
         self.exponent = float(exponent)
-        self.default_top_k = default_top_k
 
     def _feature_term(self, f: np.ndarray) -> np.ndarray:
         if self.mode == "saturation":
@@ -2292,31 +1754,12 @@ class FeatureScorer:
             return self.boost * (fe / (fe + self.pivot ** self.exponent))
         return self.boost * (self.pivot / (self.pivot + np.abs(f - self.origin)))
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            docs, scores = score_all(list(self.reader.load_postings(terms).values()))
-            if docs.size == 0:
-                continue
-            at = np.searchsorted(self.dm_ids, docs.astype(np.int64))
-            scores = scores + self._feature_term(self.feature[at])
-            d, s = topk_desc(docs, scores, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        docs, scores = self.score_text(row["query_text"])
+        if docs.size == 0:
+            return None
+        at = np.searchsorted(self.dm_ids, docs.astype(np.int64))
+        return topk_desc(docs, scores + self._feature_term(self.feature[at]), k)
 
 
 def rank_feature_search(queries_ds, index_dir: str, feature_key: str = "turn_idx",
@@ -2326,20 +1769,14 @@ def rank_feature_search(queries_ds, index_dir: str, feature_key: str = "turn_idx
                         cfg: EngineConfig = DEFAULT_CONFIG):
     """rank_feature (saturation/log/sigmoid) or distance_feature (mode
     'distance') additive boosting over a docmap feature column."""
-    return queries_ds.map_batches(
-        FeatureScorer,
-        fn_constructor_args=(index_dir, feature_key, mode, boost, pivot,
-                             origin, scaling, exponent, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, FeatureScorer, cfg, index_dir, feature_key, mode, boost, pivot,
+                      origin, scaling, exponent, cfg.top_k)
 
 
 # --- span_first ----------------------------------------------------------------
 
 
-class SpanFirstScorer:
+class SpanFirstScorer(Scorer):
     """ES ``span_first``: the wrapped span (a single term here — the
     canonical span_term form) must occur STRICTLY before position
     ``end``. Positions are stored sorted per doc, so the check is one
@@ -2347,64 +1784,37 @@ class SpanFirstScorer:
     loop. Survivors score as the plain term query (BM25)."""
 
     def __init__(self, index_dir: str, default_end: int = 2, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.default_end = default_end
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        ends = batch["end"] if "end" in batch.columns else None
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, qtext) in enumerate(zip(batch["query_id"], batch["query_text"])):
-            end = int(ends.iloc[i]) if ends is not None else self.default_end
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            terms = self.reader.analyzer(qtext)
-            if len(terms) != 1:
-                raise ValueError("span_first wraps a single span_term")
-            p = self.reader.load_postings(terms).get(terms[0])
-            if p is None or p.doc_ids.size == 0:
-                continue
-            loaded = self.reader.load_positions(terms[0])
-            if loaded is None:
-                raise ValueError("span_first requires store_positions=True")
-            pos_docs, offsets, flat = loaded
-            at = np.searchsorted(pos_docs, p.doc_ids.astype(pos_docs.dtype))
-            first_pos = flat[offsets[at]]  # positions sorted per doc
-            hit = first_pos < end
-            if not hit.any():
-                continue
-            d, s = topk_desc(p.doc_ids[hit], (p.factors * p.idf)[hit], k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def hits(self, row: dict, k: int):
+        end = int(row.get("end", self.default_end))
+        terms = self.reader.analyzer(row["query_text"])
+        if len(terms) != 1:
+            raise ValueError("span_first wraps a single span_term")
+        p = self.reader.load_postings(terms).get(terms[0])
+        if p is None or p.doc_ids.size == 0:
+            return None
+        loaded = self.reader.load_positions(terms[0])
+        if loaded is None:
+            raise ValueError("span_first requires store_positions=True")
+        pos_docs, offsets, flat = loaded
+        at = np.searchsorted(pos_docs, p.doc_ids.astype(pos_docs.dtype))
+        first_pos = flat[offsets[at]]  # positions sorted per doc
+        hit = first_pos < end
+        return topk_desc(p.doc_ids[hit], (p.factors * p.idf)[hit], k)
 
 
 def span_first_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG):
     """span_first over a positional index; queries carry (query_id,
     query_text, end[, top_k])."""
-    return queries_ds.map_batches(
-        SpanFirstScorer,
-        fn_constructor_args=(index_dir, 2, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, SpanFirstScorer, cfg, index_dir, 2, cfg.top_k)
 
 
 # --- match_bool_prefix -----------------------------------------------------------
 
 
-class BoolPrefixScorer:
+class BoolPrefixScorer(Scorer):
     """ES ``match_bool_prefix``: every token is a ``should`` term query
     except the LAST, which becomes a prefix query. Lucene rewrites the
     prefix clause constant-score (MultiTermQuery CONSTANT_SCORE rewrite),
@@ -2415,46 +1825,28 @@ class BoolPrefixScorer:
 
     def __init__(self, index_dir: str, specs: dict[str, tuple[list[str], list[str]]],
                  default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.specs = specs
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for qid in batch["query_id"]:
-            comp, alts = self.specs[qid]
-            union.update(comp)
-            union.update(alts)
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, qid in enumerate(batch["query_id"]):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            comp, alts = self.specs[qid]
-            comp_postings = self.reader.load_postings(sorted(set(comp)))
-            alt_postings = self.reader.load_postings(sorted(set(alts)))
-            docs, scores = score_all(list(comp_postings.values()))
-            if alt_postings:
-                alt_union = np.unique(
-                    np.concatenate([p.doc_ids for p in alt_postings.values()])
-                )
-                both = np.union1d(docs, alt_union)
-                new_scores = np.zeros(both.size, dtype=np.float64)
-                new_scores[np.searchsorted(both, docs)] = scores
-                new_scores[np.searchsorted(both, alt_union)] += 1.0
-                docs, scores = both, new_scores
-            if docs.size == 0:
-                continue
-            d, s = topk_desc(docs, scores, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def preload(self, rows: list[dict]) -> None:
+        self.reader.load_postings(sorted(
+            {t for row in rows for part in self.specs[row["query_id"]] for t in part}))
+
+    def hits(self, row: dict, k: int):
+        comp, alts = self.specs[row["query_id"]]
+        comp_postings = self.reader.load_postings(sorted(set(comp)))
+        alt_postings = self.reader.load_postings(sorted(set(alts)))
+        docs, scores = score_all(list(comp_postings.values()))
+        if alt_postings:
+            alt_union = np.unique(
+                np.concatenate([p.doc_ids for p in alt_postings.values()])
+            )
+            both = np.union1d(docs, alt_union)
+            new_scores = np.zeros(both.size, dtype=np.float64)
+            new_scores[np.searchsorted(both, docs)] = scores
+            new_scores[np.searchsorted(both, alt_union)] += 1.0
+            docs, scores = both, new_scores
+        return topk_desc(docs, scores, k)
 
 
 def match_bool_prefix(queries: dict[str, str], index_dir: str,
@@ -2473,19 +1865,13 @@ def match_bool_prefix(queries: dict[str, str], index_dir: str,
     expanded = expand_wildcards(index_dir, prefixes)
     specs = {qid: (comp, expanded.get(qid, [])) for qid, (comp, _) in specs.items()}
     qs = rd.from_items([{"query_id": qid, "top_k": top_k} for qid in sorted(queries)])
-    return qs.map_batches(
-        BoolPrefixScorer,
-        fn_constructor_args=(index_dir, specs, top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(qs, BoolPrefixScorer, cfg, index_dir, specs, top_k)
 
 
 # --- span_not ----------------------------------------------------------------
 
 
-class SpanNotScorer:
+class SpanNotScorer(Scorer):
     """ES ``span_not`` (symmetric dist form): the doc matches when SOME
     occurrence of the include term has NO exclude-term occurrence within
     ``dist`` positions (``pre = post = dist``). Docs without the exclude
@@ -2493,88 +1879,60 @@ class SpanNotScorer:
     containing BOTH terms walk their (tiny, per-doc) position lists.
     Survivors score as the plain include-term query (BM25)."""
 
-    def __init__(self, index_dir: str, default_dist: int = 1, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
-        self.default_dist = default_dist
-        self.default_top_k = default_top_k
+    text_cols = ("query_text", "exclude")
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for col in ("query_text", "exclude"):
-            for t in batch[col]:
-                union.update(self.reader.analyzer(t))
-        self.reader.load_postings(sorted(union))
-        dists = batch["dist"] if "dist" in batch.columns else None
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, inc_t, exc_t) in enumerate(
-            zip(batch["query_id"], batch["query_text"], batch["exclude"])
-        ):
-            dist = int(dists.iloc[i]) if dists is not None else self.default_dist
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            inc = self.reader.analyzer(inc_t)
-            exc = self.reader.analyzer(exc_t)
-            if len(inc) != 1 or len(exc) != 1:
-                raise ValueError("span_not wraps single include/exclude span_terms")
-            p = self.reader.load_postings(inc).get(inc[0])
-            if p is None or p.doc_ids.size == 0:
-                continue
-            pe = self.reader.load_postings(exc).get(exc[0])
-            cand = p.doc_ids
-            scores = p.factors * p.idf
-            if pe is None or pe.doc_ids.size == 0:
-                hit = np.ones(cand.size, dtype=bool)
-            else:
-                both = _sorted_member(pe.doc_ids, cand)
-                hit = ~both  # no exclude term anywhere → clean match
-                li = self.reader.load_positions(inc[0])
-                le = self.reader.load_positions(exc[0])
-                if li is None or le is None:
-                    raise ValueError("span_not requires store_positions=True")
-                for j in np.flatnonzero(both):
-                    d = cand[j]
-                    di, oi, fi = li
-                    de, oe, fe = le
-                    ai = int(np.searchsorted(di, d))
-                    ae = int(np.searchsorted(de, d))
-                    pos_i = fi[oi[ai]: oi[ai + 1]].astype(np.int64)
-                    pos_e = fe[oe[ae]: oe[ae + 1]].astype(np.int64)
-                    # nearest exclude occurrence per include position
-                    at = np.searchsorted(pos_e, pos_i)
-                    lo = pos_e[np.maximum(at - 1, 0)]
-                    hi = pos_e[np.minimum(at, pos_e.size - 1)]
-                    near = np.minimum(np.abs(pos_i - lo), np.abs(pos_i - hi))
-                    hit[j] = bool((near > dist).any())
-            if not hit.any():
-                continue
-            d, s = topk_desc(cand[hit], scores[hit], k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def __init__(self, index_dir: str, default_dist: int = 1, default_top_k: int = 10):
+        super().__init__(index_dir, default_top_k)
+        self.default_dist = default_dist
+
+    def hits(self, row: dict, k: int):
+        dist = int(row.get("dist", self.default_dist))
+        inc = self.reader.analyzer(row["query_text"])
+        exc = self.reader.analyzer(row["exclude"])
+        if len(inc) != 1 or len(exc) != 1:
+            raise ValueError("span_not wraps single include/exclude span_terms")
+        p = self.reader.load_postings(inc).get(inc[0])
+        if p is None or p.doc_ids.size == 0:
+            return None
+        pe = self.reader.load_postings(exc).get(exc[0])
+        cand = p.doc_ids
+        scores = p.factors * p.idf
+        if pe is None or pe.doc_ids.size == 0:
+            hit = np.ones(cand.size, dtype=bool)
+        else:
+            both = _sorted_member(pe.doc_ids, cand)
+            hit = ~both  # no exclude term anywhere → clean match
+            li = self.reader.load_positions(inc[0])
+            le = self.reader.load_positions(exc[0])
+            if li is None or le is None:
+                raise ValueError("span_not requires store_positions=True")
+            for j in np.flatnonzero(both):
+                d = cand[j]
+                di, oi, fi = li
+                de, oe, fe = le
+                ai = int(np.searchsorted(di, d))
+                ae = int(np.searchsorted(de, d))
+                pos_i = fi[oi[ai]: oi[ai + 1]].astype(np.int64)
+                pos_e = fe[oe[ae]: oe[ae + 1]].astype(np.int64)
+                # nearest exclude occurrence per include position
+                at = np.searchsorted(pos_e, pos_i)
+                lo = pos_e[np.maximum(at - 1, 0)]
+                hi = pos_e[np.minimum(at, pos_e.size - 1)]
+                near = np.minimum(np.abs(pos_i - lo), np.abs(pos_i - hi))
+                hit[j] = bool((near > dist).any())
+        return topk_desc(cand[hit], scores[hit], k)
 
 
 def span_not_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG):
     """span_not over a positional index; queries carry (query_id,
     query_text, exclude, dist[, top_k])."""
-    return queries_ds.map_batches(
-        SpanNotScorer,
-        fn_constructor_args=(index_dir, 1, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, SpanNotScorer, cfg, index_dir, 1, cfg.top_k)
 
 
 # --- span_containing / span_within ---------------------------------------------
 
 
-class SpanContainScorer:
+class SpanContainScorer(Scorer):
     """ES ``span_containing`` / ``span_within``: big = a 2-term ordered
     span_near (per-gap slop, this repo's in-order rule), little = a
     single span_term; the doc matches iff SOME big window [pa, pb]
@@ -2587,88 +1945,64 @@ class SpanContainScorer:
     per-``pa`` window test is vectorized (largest in-window ``pb``
     maximizes the enclosure, so one searchsorted pair decides)."""
 
+    text_cols = ("query_text", "little")
+
     def __init__(self, index_dir: str, mode: str = "containing",
                  default_slop: int = 2, default_top_k: int = 10):
         if mode not in ("containing", "within"):
             raise ValueError("mode must be 'containing' or 'within'")
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.mode = mode
         self.default_slop = default_slop
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        union: set[str] = set()
-        for col in ("query_text", "little"):
-            for t in batch[col]:
-                union.update(self.reader.analyzer(t))
-        self.reader.load_postings(sorted(union))
-        slops = batch["slop"] if "slop" in batch.columns else None
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, (qid, big_t, lit_t) in enumerate(
-            zip(batch["query_id"], batch["query_text"], batch["little"])
-        ):
-            slop = int(slops.iloc[i]) if slops is not None else self.default_slop
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            big = self.reader.analyzer(big_t)
-            lit = self.reader.analyzer(lit_t)
-            if len(big) != 2 or len(lit) != 1:
-                raise ValueError(
-                    "span_containing/within: big is a 2-term span_near, "
-                    "little a single span_term"
-                )
-            terms = [big[0], big[1], lit[0]]
-            postings = self.reader.load_postings(sorted(set(terms)))
-            if any(t not in postings for t in terms):
+    def hits(self, row: dict, k: int):
+        slop = int(row.get("slop", self.default_slop))
+        big = self.reader.analyzer(row["query_text"])
+        lit = self.reader.analyzer(row["little"])
+        if len(big) != 2 or len(lit) != 1:
+            raise ValueError(
+                "span_containing/within: big is a 2-term span_near, "
+                "little a single span_term"
+            )
+        terms = [big[0], big[1], lit[0]]
+        postings = self.reader.load_postings(sorted(set(terms)))
+        if any(t not in postings for t in terms):
+            return None
+        cand = reduce(
+            np.intersect1d,
+            [postings[t].doc_ids for t in sorted(set(terms))],
+        ).astype(np.int64)
+        if cand.size == 0:
+            return None
+        pos = {t: self.reader.load_positions(t) for t in set(terms)}
+        if any(p is None for p in pos.values()):
+            raise ValueError(
+                "span_containing/within requires store_positions=True")
+        hit = np.zeros(cand.size, dtype=bool)
+        for j, d in enumerate(cand):
+            pos_a, pos_b, pos_lit = (
+                _doc_positions(pos[t], int(d)) for t in terms
+            )
+            if pos_a.size == 0 or pos_b.size == 0 or pos_lit.size == 0:
                 continue
-            from functools import reduce
-
-            cand = reduce(
-                np.intersect1d,
-                [postings[t].doc_ids for t in sorted(set(terms))],
-            ).astype(np.int64)
-            if cand.size == 0:
-                continue
-            pos = {t: self.reader.load_positions(t) for t in set(terms)}
-            if any(p is None for p in pos.values()):
-                raise ValueError(
-                    "span_containing/within requires store_positions=True")
-            hit = np.zeros(cand.size, dtype=bool)
-            for j, d in enumerate(cand):
-                pos_a, pos_b, pos_lit = (
-                    _doc_positions(pos[t], int(d)) for t in terms
-                )
-                if pos_a.size == 0 or pos_b.size == 0 or pos_lit.size == 0:
-                    continue
-                # largest in-window pos_b per pos_a: pos_b in [pos_a+1, pos_a+slop+1]
-                hi_at = np.searchsorted(pos_b, pos_a + slop + 1, side="right") - 1
-                safe = np.maximum(hi_at, 0)
-                pb_max = pos_b[safe]
-                valid = (hi_at >= 0) & (pb_max > pos_a)
-                c_in = (
-                    np.searchsorted(pos_lit, pb_max, side="right")
-                    - np.searchsorted(pos_lit, pos_a, side="left")
-                ) > 0
-                hit[j] = bool((valid & c_in).any())
-            m = cand[hit].astype(np.uint64)
-            if m.size == 0:
-                continue
-            score_terms = big if self.mode == "containing" else lit
-            scores = np.zeros(m.size, dtype=np.float64)
-            for t in score_terms:
-                p = postings[t]
-                at = np.searchsorted(p.doc_ids, m)
-                scores += p.factors[at] * p.idf
-            d_out, s_out = topk_desc(m, scores, k)
-            n = d_out.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d_out.astype(np.int64).tolist())
-            scores_out.extend(s_out.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+            # largest in-window pos_b per pos_a: pos_b in [pos_a+1, pos_a+slop+1]
+            hi_at = np.searchsorted(pos_b, pos_a + slop + 1, side="right") - 1
+            safe = np.maximum(hi_at, 0)
+            pb_max = pos_b[safe]
+            valid = (hi_at >= 0) & (pb_max > pos_a)
+            c_in = (
+                np.searchsorted(pos_lit, pb_max, side="right")
+                - np.searchsorted(pos_lit, pos_a, side="left")
+            ) > 0
+            hit[j] = bool((valid & c_in).any())
+        m = cand[hit].astype(np.uint64)
+        score_terms = big if self.mode == "containing" else lit
+        scores = np.zeros(m.size, dtype=np.float64)
+        for t in score_terms:
+            p = postings[t]
+            at = np.searchsorted(p.doc_ids, m)
+            scores += p.factors[at] * p.idf
+        return topk_desc(m, scores, k)
 
 
 def _doc_positions(loaded, doc_id: int) -> np.ndarray:
@@ -2682,19 +2016,13 @@ def span_contain_search(queries_ds, index_dir: str, mode: str = "containing",
                         cfg: EngineConfig = DEFAULT_CONFIG):
     """span_containing/span_within over a positional index; queries carry
     (query_id, query_text = the 2-term big span, little, slop[, top_k])."""
-    return queries_ds.map_batches(
-        SpanContainScorer,
-        fn_constructor_args=(index_dir, mode, 2, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, SpanContainScorer, cfg, index_dir, mode, 2, cfg.top_k)
 
 
 # --- rank_eval ---------------------------------------------------------------
 
 
-class RankEvalScorer:
+class RankEvalScorer(Scorer):
     """ES ``_rank_eval`` API: run each query through the standard BM25
     ranking and score the top-``k`` against a deterministic relevance
     judgment — here a doc is RELEVANT iff it contains EVERY query term
@@ -2706,53 +2034,37 @@ class RankEvalScorer:
     min(|relevant|, k) ideal slots). Queries with no relevant docs score
     0 everywhere — never an error."""
 
+    columns = {"query_id": str, "n_relevant": np.int64, "precision_at_k": np.float64,
+               "mrr": np.float64, "ndcg": np.float64}
+
     def __init__(self, index_dir: str, k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir)
         self.k = int(k)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        from functools import reduce
-
-        union: set[str] = set()
-        for qtext in batch["query_text"]:
-            union.update(self.reader.analyzer(qtext))
-        self.reader.load_postings(sorted(union))
-        rows = []
-        for qid, qtext in zip(batch["query_id"], batch["query_text"]):
-            terms = sorted(set(self.reader.analyzer(qtext)))
-            postings = self.reader.load_postings(terms)
-            docs, scores = score_all(list(postings.values()))
-            top, _ = topk_desc(docs, scores, self.k)
-            if len(postings) == len(terms) and terms:
-                rel = reduce(np.intersect1d, [postings[t].doc_ids for t in terms])
-            else:
-                rel = np.empty(0, dtype=np.uint64)
-            n_rel = int(rel.size)
-            hit_ranks = 1 + np.flatnonzero(_sorted_member(rel, top))  # 1-based
-            prec = hit_ranks.size / float(self.k)
-            mrr = 1.0 / float(hit_ranks[0]) if hit_ranks.size else 0.0
-            dcg = float((1.0 / np.log2(hit_ranks + 1.0)).sum()) if hit_ranks.size else 0.0
-            ideal = np.arange(1, min(n_rel, self.k) + 1, dtype=np.float64)
-            idcg = float((1.0 / np.log2(ideal + 1.0)).sum()) if ideal.size else 0.0
-            rows.append({
-                "query_id": qid, "n_relevant": np.int64(n_rel),
-                "precision_at_k": round(prec, 4),
-                "mrr": round(mrr, 4),
-                "ndcg": round(dcg / idcg, 4) if idcg > 0.0 else 0.0,
-            })
-        return pd.DataFrame(rows)
+    def hits(self, row: dict, k: int):
+        terms = sorted(set(self.reader.analyzer(row["query_text"])))
+        postings = self.reader.load_postings(terms)
+        docs, scores = score_all(list(postings.values()))
+        top, _ = topk_desc(docs, scores, self.k)
+        if len(postings) == len(terms) and terms:
+            rel = reduce(np.intersect1d, [postings[t].doc_ids for t in terms])
+        else:
+            rel = np.empty(0, dtype=np.uint64)
+        n_rel = int(rel.size)
+        hit_ranks = 1 + np.flatnonzero(_sorted_member(rel, top))  # 1-based
+        prec = hit_ranks.size / float(self.k)
+        mrr = 1.0 / float(hit_ranks[0]) if hit_ranks.size else 0.0
+        dcg = float((1.0 / np.log2(hit_ranks + 1.0)).sum()) if hit_ranks.size else 0.0
+        ideal = np.arange(1, min(n_rel, self.k) + 1, dtype=np.float64)
+        idcg = float((1.0 / np.log2(ideal + 1.0)).sum()) if ideal.size else 0.0
+        ndcg = round(dcg / idcg, 4) if idcg > 0.0 else 0.0
+        return [n_rel], [round(prec, 4)], [round(mrr, 4)], [ndcg]
 
 
 def rank_eval(queries_ds, index_dir: str, k: int = 10,
               cfg: EngineConfig = DEFAULT_CONFIG):
     """_rank_eval over (query_id, query_text): one metrics row per query."""
-    return queries_ds.map_batches(
-        RankEvalScorer,
-        fn_constructor_args=(index_dir, k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, RankEvalScorer, cfg, index_dir, k)
 
 
 # --- Lucene boolean query grammar ------------------------------------------------
@@ -2872,7 +2184,7 @@ def _ast_all_terms(node) -> set[str]:
     return set().union(*(_ast_all_terms(c) for c in node[1]))
 
 
-class LuceneScorer:
+class LuceneScorer(Scorer):
     """Evaluate a parsed Lucene boolean AST by SET ALGEBRA over sorted
     posting doc-id arrays: term → postings, phrase → positional
     adjacency, OR → union, AND → intersection with NOT children applied
@@ -2883,8 +2195,7 @@ class LuceneScorer:
     contribute)."""
 
     def __init__(self, index_dir: str, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
-        self.default_top_k = default_top_k
+        super().__init__(index_dir, default_top_k)
 
     def _docs(self, node) -> np.ndarray:
         kind = node[0]
@@ -2892,8 +2203,6 @@ class LuceneScorer:
             p = self.reader.load_postings([node[1]]).get(node[1])
             return p.doc_ids if p is not None else np.empty(0, dtype=np.uint64)
         if kind == "phrase":
-            from functools import reduce
-
             want = node[1]
             uniq = sorted(set(want))
             postings = self.reader.load_postings(uniq)
@@ -2924,54 +2233,33 @@ class LuceneScorer:
             return acc
         raise ValueError("top-level NOT is not satisfiable")
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        asts = {qid: parse_lucene(q) for qid, q in zip(batch["query_id"], batch["query_text"])}
-        union: set[str] = set()
-        for a in asts.values():
-            union.update(_ast_all_terms(a))
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, qid in enumerate(batch["query_id"]):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            ast = asts[qid]
-            m = np.asarray(self._docs(ast), dtype=np.uint64)
-            if m.size == 0:
-                continue
-            scores = np.zeros(m.size, dtype=np.float64)
-            pos_terms = sorted(_ast_terms(ast))
-            for p in self.reader.load_postings(pos_terms).values():
-                at = np.searchsorted(p.doc_ids, m)
-                safe = np.minimum(at, max(p.doc_ids.size - 1, 0))
-                hit = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-                scores[hit] += p.factors[at[hit]] * p.idf
-            d, s = topk_desc(m, scores, k)
-            n = d.size
-            qids.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs_out.extend(d.astype(np.int64).tolist())
-            scores_out.extend(s.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+    def preload(self, rows: list[dict]) -> None:
+        self.reader.load_postings(sorted(
+            {t for row in rows for t in _ast_all_terms(parse_lucene(row["query_text"]))}))
+
+    def hits(self, row: dict, k: int):
+        ast = parse_lucene(row["query_text"])
+        m = np.asarray(self._docs(ast), dtype=np.uint64)
+        if m.size == 0:
+            return None
+        scores = np.zeros(m.size, dtype=np.float64)
+        for p in self.reader.load_postings(sorted(_ast_terms(ast))).values():
+            at = np.searchsorted(p.doc_ids, m)
+            safe = np.minimum(at, max(p.doc_ids.size - 1, 0))
+            hit = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
+            scores[hit] += p.factors[at[hit]] * p.idf
+        return topk_desc(m, scores, k)
 
 
 def lucene_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG):
     """Boolean-grammar search; queries carry (query_id, query_text[, top_k])."""
-    return queries_ds.map_batches(
-        LuceneScorer,
-        fn_constructor_args=(index_dir, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, LuceneScorer, cfg, index_dir, cfg.top_k)
 
 
 # --- intervals query ---------------------------------------------------------
 
 
-class IntervalsScorer:
+class IntervalsScorer(Scorer):
     """ES ``intervals`` query, the ordered ``all_of`` form with nested
     ``any_of`` leaves: the doc matches iff there exist positions
     p1 < p2 < … < pn, one per clause IN ORDER (an ``any_of`` clause
@@ -2986,101 +2274,75 @@ class IntervalsScorer:
     clause is a list of alternative terms (len 1 = plain term)."""
 
     def __init__(self, index_dir: str, specs: dict, default_top_k: int = 10):
-        self.reader = IndexReader(index_dir)
+        super().__init__(index_dir, default_top_k)
         self.specs = specs
-        self.default_top_k = default_top_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        from functools import reduce
+    def preload(self, rows: list[dict]) -> None:
+        self.reader.load_postings(sorted(
+            {t for row in rows for c in self.specs[row["query_id"]][1] for t in c}))
 
-        union: set[str] = set()
-        for qid in batch["query_id"]:
-            _, clauses = self.specs[qid]
-            for c in clauses:
-                union.update(c)
-        self.reader.load_postings(sorted(union))
-        top_ks = batch["top_k"] if "top_k" in batch.columns else None
-        qids: list = []
-        ranks: list = []
-        docs_out: list = []
-        scores_out: list = []
-        for i, qid in enumerate(batch["query_id"]):
-            k = int(top_ks.iloc[i]) if top_ks is not None else self.default_top_k
-            max_gaps, clauses = self.specs[qid]
-            n = len(clauses)
-            # candidates: docs matching ≥1 term of EVERY clause
-            clause_docs = []
-            for c in clauses:
-                ps = self.reader.load_postings(sorted(set(c)))
-                if not ps:
-                    clause_docs.append(np.empty(0, dtype=np.uint64))
-                else:
-                    clause_docs.append(
-                        np.unique(np.concatenate([p.doc_ids for p in ps.values()]))
-                    )
-            cand = reduce(np.intersect1d, clause_docs).astype(np.int64)
-            if cand.size == 0:
+    def hits(self, row: dict, k: int):
+        max_gaps, clauses = self.specs[row["query_id"]]
+        n = len(clauses)
+        # candidates: docs matching ≥1 term of EVERY clause
+        clause_docs = []
+        for c in clauses:
+            ps = self.reader.load_postings(sorted(set(c)))
+            if not ps:
+                clause_docs.append(np.empty(0, dtype=np.uint64))
+            else:
+                clause_docs.append(
+                    np.unique(np.concatenate([p.doc_ids for p in ps.values()]))
+                )
+        cand = reduce(np.intersect1d, clause_docs).astype(np.int64)
+        if cand.size == 0:
+            return None
+        pos = {t: self.reader.load_positions(t) for c in clauses for t in c}
+        if any(p is None for p in pos.values()):
+            raise ValueError("intervals requires store_positions=True")
+
+        def clause_positions(c: list, d: int) -> np.ndarray:
+            arrs = []
+            for t in c:
+                di, oi, fi = pos[t]
+                at = int(np.searchsorted(di, d))
+                if at < di.size and di[at] == d:
+                    arrs.append(fi[oi[at]: oi[at + 1]].astype(np.int64))
+            return np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
+
+        hit = np.zeros(cand.size, dtype=bool)
+        for j, d in enumerate(cand):
+            plists = [clause_positions(c, int(d)) for c in clauses]
+            if any(p.size == 0 for p in plists):
                 continue
-            pos = {t: self.reader.load_positions(t) for c in clauses for t in c}
-            if any(p is None for p in pos.values()):
-                raise ValueError("intervals requires store_positions=True")
-
-            def clause_positions(c: list, d: int) -> np.ndarray:
-                arrs = []
-                for t in c:
-                    di, oi, fi = pos[t]
-                    at = int(np.searchsorted(di, d))
-                    if at < di.size and di[at] == d:
-                        arrs.append(fi[oi[at]: oi[at + 1]].astype(np.int64))
-                return np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
-
-            hit = np.zeros(cand.size, dtype=bool)
-            for j, d in enumerate(cand):
-                plists = [clause_positions(c, int(d)) for c in clauses]
-                if any(p.size == 0 for p in plists):
-                    continue
-                best = None
-                for p1 in plists[0]:
-                    prev = p1
-                    ok = True
-                    for ci in range(1, n):
-                        nxt_at = int(np.searchsorted(plists[ci], prev + 1))
-                        if nxt_at >= plists[ci].size:
-                            ok = False
-                            break
-                        prev = int(plists[ci][nxt_at])  # greedy smallest next
-                    if not ok:
-                        break  # later p1 only start later — no chain can complete
-                    w = prev - int(p1) + 1
-                    best = w if best is None or w < best else best
-                if best is not None and best - n <= max_gaps:
-                    hit[j] = True
-            m = cand[hit].astype(np.uint64)
-            if m.size == 0:
-                continue
-            scores = np.zeros(m.size, dtype=np.float64)
-            terms = sorted({t for c in clauses for t in c})
-            for p in self.reader.load_postings(terms).values():
-                at = np.searchsorted(p.doc_ids, m)
-                safe = np.minimum(at, max(p.doc_ids.size - 1, 0))
-                ok = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-                scores[ok] += p.factors[at[ok]] * p.idf
-            d_top, s_top = topk_desc(m, scores, k)
-            nn = d_top.size
-            qids.extend([qid] * nn)
-            ranks.extend(range(1, nn + 1))
-            docs_out.extend(d_top.astype(np.int64).tolist())
-            scores_out.extend(s_top.tolist())
-        return _result_frame(qids, ranks, docs_out, scores_out)
+            best = None
+            for p1 in plists[0]:
+                prev = p1
+                ok = True
+                for ci in range(1, n):
+                    nxt_at = int(np.searchsorted(plists[ci], prev + 1))
+                    if nxt_at >= plists[ci].size:
+                        ok = False
+                        break
+                    prev = int(plists[ci][nxt_at])  # greedy smallest next
+                if not ok:
+                    break  # later p1 only start later — no chain can complete
+                w = prev - int(p1) + 1
+                best = w if best is None or w < best else best
+            if best is not None and best - n <= max_gaps:
+                hit[j] = True
+        m = cand[hit].astype(np.uint64)
+        scores = np.zeros(m.size, dtype=np.float64)
+        terms = sorted({t for c in clauses for t in c})
+        for p in self.reader.load_postings(terms).values():
+            at = np.searchsorted(p.doc_ids, m)
+            safe = np.minimum(at, max(p.doc_ids.size - 1, 0))
+            ok = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
+            scores[ok] += p.factors[at[ok]] * p.idf
+        return topk_desc(m, scores, k)
 
 
 def intervals_search(queries_ds, index_dir: str, specs: dict,
                      cfg: EngineConfig = DEFAULT_CONFIG):
     """intervals all_of(ordered, max_gaps) with any_of leaves."""
-    return queries_ds.map_batches(
-        IntervalsScorer,
-        fn_constructor_args=(index_dir, specs, cfg.top_k),
-        batch_format="pandas",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
+    return map_scorer(queries_ds, IntervalsScorer, cfg, index_dir, specs, cfg.top_k)

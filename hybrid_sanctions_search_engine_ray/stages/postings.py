@@ -34,7 +34,11 @@ import pyarrow.parquet as pq
 from hybrid_sanctions_search_engine_ray.config import EngineConfig
 from hybrid_sanctions_search_engine_ray.functions.codec import encode_rows
 from hybrid_sanctions_search_engine_ray.functions.hashing import hash_string_array
-from hybrid_sanctions_search_engine_ray.state.manifest import atomic_write_json, segment_dir
+from hybrid_sanctions_search_engine_ray.state.manifest import (
+    SEGMENT_FILE,
+    atomic_write_json,
+    segment_dir,
+)
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -68,7 +72,7 @@ def write_segment(sdir: str, table: pa.Table) -> tuple[int, int]:
     # at the benchmark's scale, so it is one row group and the reader's
     # term filter prunes nothing. Kept so segment bytes stay unchanged.
     pq.write_table(table, tmp, row_group_size=4096)
-    final = os.path.join(sdir, "postings.parquet")
+    final = os.path.join(sdir, SEGMENT_FILE)
     os.replace(tmp, final)
     with open(final, "rb") as f:
         checksum = zlib.crc32(f.read(1 << 20))

@@ -45,9 +45,13 @@ def atomic_publish_file(tmp_path: str, final_path: str) -> None:
     os.replace(tmp_path, final_path)
 
 
+# newest manifest format this code reads; a newer index is refused
+MANIFEST_VERSION = 1
+
+
 @dataclass
 class IndexManifest:
-    version: int = 1
+    version: int = MANIFEST_VERSION
     status: str = "building"           # building | complete
     # corpus stats (Pass A)
     n_docs: int = 0
@@ -86,6 +90,10 @@ class IndexManifest:
     def load(cls, index_dir: str) -> "IndexManifest":
         with open(os.path.join(index_dir, "manifest.json")) as f:
             d = json.load(f)
+        if d.get("version", MANIFEST_VERSION) > MANIFEST_VERSION:
+            raise ValueError(
+                f"index at {index_dir} has manifest version {d['version']}, newer than "
+                f"version {MANIFEST_VERSION} that this code reads")
         m = cls()
         for k, v in d.items():
             if hasattr(m, k):
@@ -93,8 +101,16 @@ class IndexManifest:
         return m
 
 
+# name of a partition's posting segment file inside its segment_dir
+SEGMENT_FILE = "postings.parquet"
+
+
 def segment_dir(index_dir: str, part: int) -> str:
     return os.path.join(index_dir, "segments", f"part={part:05d}")
+
+
+def segment_file(index_dir: str, part: int) -> str:
+    return os.path.join(segment_dir(index_dir, part), SEGMENT_FILE)
 
 
 def completed_parts(index_dir: str) -> dict[int, dict]:
@@ -107,7 +123,7 @@ def completed_parts(index_dir: str) -> dict[int, dict]:
         if not name.startswith("part="):
             continue
         meta_path = os.path.join(seg_root, name, "meta.json")
-        data_path = os.path.join(seg_root, name, "postings.parquet")
+        data_path = os.path.join(seg_root, name, SEGMENT_FILE)
         if os.path.exists(meta_path) and os.path.exists(data_path):
             with open(meta_path) as f:
                 done[int(name.split("=")[1])] = json.load(f)

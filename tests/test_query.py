@@ -164,18 +164,61 @@ def test_synonym_search_noop_when_no_match(built_index):
     assert syn.equals(plain)
 
 
-@pytest.mark.parametrize("method", ["bmw"])
-def test_bmw_rank_identity_on_index(built_index, method):
+def test_bmw_rank_identity_on_index(built_index):
     """The reference Block-Max WAND kernel must return the same ranking
-    as TAAT/MaxScore on the real index for the golden query mix."""
+    as TAAT on the real index for the golden query mix."""
+    from hybrid_sanctions_search_engine_ray.functions.bm25 import score_bmw
+
     index_dir, cfg, manifest = built_index
     r = IndexReader(index_dir)
     for q in GOLDEN_QUERIES:
+        terms = sorted(set(r.analyzer(q)))
         for k in (1, 10):
             d1, s1 = r.search_one(q, k, method="taat")
-            d2, s2 = r.search_one(q, k, method=method)
+            d2, s2 = score_bmw(list(r.load_postings(terms).values()), k)
             assert d1.astype(np.int64).tolist() == d2.astype(np.int64).tolist(), (q, k)
             assert np.allclose(s1, s2, atol=1e-9), (q, k)
+
+
+def _index_copy_with_manifest(index_dir: str, dst: str, **fields) -> str:
+    """Copy of a built index whose manifest.json has ``fields`` overwritten."""
+    import json
+    import os
+    import shutil
+
+    shutil.copytree(index_dir, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path) as f:
+        m = json.load(f)
+    m.update(fields)
+    with open(path, "w") as f:
+        json.dump(m, f)
+    return dst
+
+
+def test_reader_analyzer_is_build_analyzer_without_lang_col(built_index, tmp_path):
+    import dataclasses
+
+    from hybrid_sanctions_search_engine_ray.state.manifest import (
+        IndexManifest,
+        analyzer_from_manifest,
+    )
+
+    idx = _index_copy_with_manifest(
+        built_index[0], str(tmp_path / "idx"), min_token_len=2, max_token_len=20,
+        lang_split_case=True, lang_col="lang", stem="ru_names")
+    got = IndexReader(idx).cfg.analyzer
+    assert got == dataclasses.replace(analyzer_from_manifest(IndexManifest.load(idx)), lang_col=None)
+    assert (got.min_token_len, got.max_token_len, got.lang_split_case, got.lang_col,
+            got.stem, got.name_field) == (2, 20, True, None, "ru_names", True)
+
+
+def test_reader_refuses_newer_manifest_version(built_index, tmp_path):
+    import re
+
+    idx = _index_copy_with_manifest(built_index[0], str(tmp_path / "idx"), version=2)
+    with pytest.raises(ValueError, match=rf"{re.escape(idx)}.*version 2.*version 1"):
+        IndexReader(idx)
 
 
 def test_conv_search_rollup_consistent(built_index):

@@ -18,7 +18,12 @@ from hybrid_sanctions_search_engine_ray.config import AnalyzerConfig, EngineConf
 from hybrid_sanctions_search_engine_ray.functions.bm25 import score_all, topk_desc
 from hybrid_sanctions_search_engine_ray.pipelines import search_features as sfeat
 from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
-from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader
+from hybrid_sanctions_search_engine_ray.pipelines.query import (
+    BM25Scorer,
+    BooleanScorer,
+    IndexReader,
+    _result_frame,
+)
 
 CFG = EngineConfig(num_partitions=4, analyzer=AnalyzerConfig(mode="simple"))
 
@@ -1248,3 +1253,69 @@ def test_collapse_inner_hits_consistency(ray_session, feat_index):
     for _, g in inner.groupby("rank"):
         s = g.sort_values("inner_rank")["score"].to_numpy()
         assert (np.diff(s) <= 1e-12).all()
+
+
+# --- batch == rows: the shared scorer loop ------------------------------------
+
+# Four rows per batch: a multi-term query, a zero-hit query, a query with a
+# duplicate term and a one-term query, each with its own top_k. Each case is
+# (scorer factory over the index, columns replacing or adding to those).
+_BATCH_TEXTS = ["beta gamma", "qqqq zzzz", "alpha alpha beta", "gamma"]
+_ONE_TERM = ["alpha", "qqqq", "beta", "gamma"]
+_BATCH_CASES = {
+    "bm25": (lambda i: BM25Scorer(i), {}),
+    "boolean": (lambda i: BooleanScorer(i),
+                {"must": ["beta", "qqqq", "alpha alpha", None],
+                 "should": ["gamma", None, "beta", "gamma delta"],
+                 "must_not": [None, None, "zeta", "epsilon"]}),
+    "collapse": (lambda i: sfeat.CollapseScorer(i, key="conv_id"), {}),
+    "top_hits": (lambda i: sfeat.GroupTopHitsScorer(i, key="turn_idx", per_group=2), {}),
+    "boosting": (lambda i: sfeat.BoostingScorer(i),
+                 {"negative": ["delta", "beta", "zeta", "qqqq"]}),
+    "rescore": (lambda i: sfeat.RescoreScorer(i, window=3), {}),
+    "random_score": (lambda i: sfeat.RandomScoreScorer(i, seed="7"), {}),
+    "explain": (lambda i: sfeat.ExplainScorer(i), {}),
+    "span_near": (lambda i: sfeat.SpanNearScorer(i), {"slop": [1, 0, 2, 0]}),
+    "span_near_unordered": (lambda i: sfeat.SpanNearScorer(i, in_order=False),
+                            {"slop": [1, 0, 2, 0]}),
+    "dis_max": (lambda i: sfeat.DisMaxScorer(i),
+                {"clause_a": _BATCH_TEXTS, "clause_b": ["delta", "qqqq", "zeta zeta", "alpha"]}),
+    "has_parent": (lambda i: sfeat.HasParentScorer(i, key="conv_id", default_top_k=2), {}),
+    "count": (lambda i: sfeat.CountScorer(i), {}),
+    "field_sort": (lambda i: sfeat.FieldSortScorer(i, ("conv_id", "turn_idx")), {}),
+    "feature": (lambda i: sfeat.FeatureScorer(i, "turn_idx", "saturation"), {}),
+    "span_first": (lambda i: sfeat.SpanFirstScorer(i),
+                   {"query_text": _ONE_TERM, "end": [1, 2, 3, 2]}),
+    "span_not": (lambda i: sfeat.SpanNotScorer(i),
+                 {"query_text": _ONE_TERM, "exclude": ["beta", "beta", "beta", "delta"],
+                  "dist": [1, 1, 2, 0]}),
+    "span_contain": (lambda i: sfeat.SpanContainScorer(i),
+                     {"query_text": ["alpha gamma", "qqqq zzzz", "beta beta", "gamma delta"],
+                      "little": ["beta", "alpha", "beta", "delta"]}),
+    "rank_eval": (lambda i: sfeat.RankEvalScorer(i, k=3), {}),
+    "lucene": (lambda i: sfeat.LuceneScorer(i),
+               {"query_text": ["alpha AND beta", "qqqq", "alpha OR alpha",
+                               '"beta gamma" AND NOT delta']}),
+    "terms_set": (lambda i: sfeat.TermsSetScorer(i, field_key="turn_idx"), {}),
+    "sparse_vector": (lambda i: sfeat.SparseVectorScorer(
+        i, {"q0": {"alpha": 2, "beta": 1}, "q1": {"qqqq": 5},
+            "q2": {"beta": 3, "alpha": 1}, "q3": {"gamma": 1}}), {}),
+    "intervals": (lambda i: sfeat.IntervalsScorer(
+        i, {"q0": (1, [["beta"], ["gamma"]]), "q1": (0, [["qqqq"]]),
+            "q2": (2, [["alpha"], ["alpha", "beta"]]), "q3": (0, [["gamma"], ["delta"]])}), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_scorer_batch_equals_concatenated_rows(feat_index, case):
+    """One call on a batch gives the frame that one call per row gives,
+    concatenated: the batch preload and the per-row loop change nothing."""
+    make, cols = _BATCH_CASES[case]
+    scorer = make(feat_index)
+    batch = pd.DataFrame({"query_id": [f"q{i}" for i in range(4)],
+                          "query_text": _BATCH_TEXTS, "top_k": [2, 10, 3, 5], **cols})
+    out = scorer(batch)
+    rows = [scorer(batch.iloc[[i]].reset_index(drop=True)) for i in range(len(batch))]
+    assert len(out)
+    pd.testing.assert_frame_equal(out, pd.concat([r for r in rows if len(r)], ignore_index=True))
+    pd.testing.assert_series_equal(out.dtypes, _result_frame(scorer.columns).dtypes)
