@@ -29,14 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from hybrid_sanctions_search_engine_ray.functions.bm25 import (
-    TermPosting,
-    idf,
-    score_maxscore,
-    score_taat,
-    tf_factor,
-)
-from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader
+from hybrid_sanctions_search_engine_ray.functions.bm25 import TermPosting, idf, tf_factor
+from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader, search_kernel
+from hybrid_sanctions_search_engine_ray.state.manifest import ANALYZER, SCORING, identity_diff
 
 
 class FederatedReader:
@@ -65,20 +60,16 @@ class FederatedReader:
         self.n_docs = sum(r.manifest.n_docs for r in self.readers)
         total_tokens = sum(r.manifest.total_tokens for r in self.readers)
         self.avgdl = total_tokens / self.n_docs if self.n_docs else 0.0
-        from hybrid_sanctions_search_engine_ray.state.manifest import analyzer_key
-
         m0 = self.readers[0].manifest
-        for r in self.readers[1:]:
+        for d, r in zip(index_dirs[1:], self.readers[1:]):
             # FULL analyzer identity (stem/dedup/bounds/case routing) —
             # a stemmed + unstemmed pair would silently lose the
             # unstemmed sub-index's docs from every result
-            # (code-review r05 finding)
-            if (r.manifest.k1, r.manifest.b, analyzer_key(r.manifest)) != (
-                m0.k1,
-                m0.b,
-                analyzer_key(m0),
-            ):
-                raise ValueError("sub-indexes disagree on scoring/analyzer parameters")
+            # (code-review r05 finding); layout may differ
+            diffs = identity_diff(m0, r.manifest, SCORING + ANALYZER, labels=("first", "sub-index"))
+            if diffs:
+                raise ValueError(f"sub-indexes disagree on scoring/analyzer parameters ({d}): "
+                                 + "; ".join(diffs))
         self.k1, self.b, self.block_size = m0.k1, m0.b, m0.block_size
         self.analyzer = self.readers[0].analyzer
         self._merged: dict[str, TermPosting | None] = {}
@@ -124,7 +115,7 @@ class FederatedReader:
         return tp
 
     def search_one(self, query_text: str, top_k: int, method: str = "maxscore"):
+        fn = search_kernel(method)
         terms = sorted(set(self.analyzer(query_text)))
         postings = [p for t in terms if (p := self._merged_posting(t)) is not None]
-        fn = score_maxscore if method == "maxscore" else score_taat
         return fn(postings, top_k)

@@ -43,9 +43,14 @@ from hybrid_sanctions_search_engine_ray.stages.postings import (
     pack_postings_by_part,
 )
 from hybrid_sanctions_search_engine_ray.state.manifest import (
+    ANALYZER,
+    LAYOUT,
+    SCORING,
     IndexManifest,
     atomic_write_json,
     completed_parts,
+    exact_n_terms,
+    identity_diff,
     segment_file,
 )
 
@@ -342,13 +347,13 @@ def build_index(
 
     sample_files: list[str] = []
     fast_sorted_files: list[str] | None = None
+    # each non-checkpoint branch picks its docmap writer; it is submitted
+    # once below (the checkpoint branch's checkpoint IS the docmap)
+    docmap_cols = ["doc_id", "conv_id", "turn_idx"] + (["text"] if store_text else [])
+    write_docmap = None
     if "doc_id" in ds.schema().names:
         use_checkpoint = False
-        if not (have_partial and os.path.isdir(docmap_path) and os.listdir(docmap_path)):
-            docmap_cols = ["doc_id", "conv_id", "turn_idx"] + (["text"] if store_text else [])
-            _docmap_future = _docmap_pool.submit(
-                _deferred_docmap, lambda p: ds.select_columns(docmap_cols).write_parquet(p)
-            )
+        write_docmap = ds.select_columns(docmap_cols).write_parquet
     elif assume_sorted and transcripts_ds is None:
         # Already-sorted shard layout on disk: ids from parquet FOOTER
         # prefix sums — no checkpoint rewrite, no extra corpus I/O. This
@@ -366,75 +371,42 @@ def build_index(
             ds = read_sorted_parquet_with_ids(
                 input_path, ["doc_id", "conv_id", "turn_idx", "text"] + _lang_extra
             ).materialize()
-            if not (have_partial and os.path.isdir(docmap_path) and os.listdir(docmap_path)):
-                docmap_cols = ["doc_id", "conv_id", "turn_idx"] + (["text"] if store_text else [])
-                _ds_mat = ds
-                _docmap_future = _docmap_pool.submit(
-                    _deferred_docmap,
-                    lambda p: _ds_mat.select_columns(docmap_cols).write_parquet(p),
-                )
+            write_docmap = ds.select_columns(docmap_cols).write_parquet
         else:
             ds = read_sorted_parquet_with_ids(
                 input_path, ["doc_id", "conv_id", "text"] + _lang_extra)
-            if not (have_partial and os.path.isdir(docmap_path) and os.listdir(docmap_path)):
-                docmap_cols = ["doc_id", "conv_id", "turn_idx"] + (["text"] if store_text else [])
-                _docmap_future = _docmap_pool.submit(
-                    _deferred_docmap,
-                    lambda p: read_sorted_parquet_with_ids(input_path, docmap_cols).write_parquet(p),
-                )
+            write_docmap = lambda p: read_sorted_parquet_with_ids(  # noqa: E731
+                input_path, docmap_cols).write_parquet(p)
     else:
         use_checkpoint = True
         if not (have_partial and corpus_checkpoint_complete(docmap_path)):
             checkpoint_corpus_with_ids(ds, docmap_path, sort=not assume_sorted,
                                        sample_dir=sample_path,
                                        extra_cols=tuple(_lang_extra))
-        corpus_files = sorted(
-            os.path.join(docmap_path, f) for f in os.listdir(docmap_path) if f.endswith(".parquet")
-        )
         if os.path.isdir(sample_path):
-            sample_files = sorted(
-                os.path.join(sample_path, f) for f in os.listdir(sample_path) if f.endswith(".parquet")
-            )
-        ds = rd.read_parquet(corpus_files,
+            sample_files = _sorted_corpus_files(sample_path)
+        ds = rd.read_parquet(_sorted_corpus_files(docmap_path),
                              columns=["doc_id", "conv_id", "text"] + _lang_extra)
+    if write_docmap is not None and not (
+            have_partial and os.path.isdir(docmap_path) and os.listdir(docmap_path)):
+        _docmap_future = _docmap_pool.submit(_deferred_docmap, write_docmap)
 
     # --- hot-term pre-pass: tokenize only the deterministic 2% conv
     # sample (pure function of conv_id → identical across batchings,
     # cluster sizes and resumes); reused from the manifest on resume ---
     if have_partial:
         manifest = IndexManifest.load(index_dir)
-        # resume must use the ORIGINAL run's layout: partition hashing,
+        # resume must use the ORIGINAL run's identity: partition hashing,
         # salting and tokenization all feed the done-part skip, so a
         # changed cfg would silently drop or misroute postings
         # (code-review r05 finding) — refuse loudly instead.
-        _mismatch = [
-            f"{name}: saved={got!r} cfg={want!r}"
-            for name, got, want in (
-                ("num_partitions", manifest.num_partitions, cfg.num_partitions),
-                ("hot_term_salt_buckets", manifest.hot_term_salt_buckets,
-                 cfg.hot_term_salt_buckets),
-                ("block_size", manifest.block_size, cfg.block_size),
-                ("analyzer_mode", manifest.analyzer_mode, cfg.analyzer.mode),
-                ("remove_stopwords", manifest.remove_stopwords,
-                 cfg.analyzer.remove_stopwords),
-                ("stem", manifest.stem, cfg.analyzer.stem),
-                ("dedup_tokens", manifest.dedup_tokens, cfg.analyzer.dedup_tokens),
-                ("min_token_len", manifest.min_token_len,
-                 cfg.analyzer.min_token_len),
-                ("max_token_len", manifest.max_token_len,
-                 cfg.analyzer.max_token_len),
-                ("lang_split_case", manifest.lang_split_case,
-                 cfg.analyzer.lang_split_case),
-                ("lang_col", manifest.lang_col, cfg.analyzer.lang_col),
-                ("store_positions", manifest.store_positions, store_positions),
-            )
-            if got != want
-        ]
-        if _mismatch:
+        diffs = identity_diff(manifest, IndexManifest.from_config(cfg, store_positions),
+                              SCORING + ANALYZER + LAYOUT)
+        if diffs:
             raise ValueError(
                 "build_index(resume=True): config differs from the saved "
                 "manifest — resume with the original config or rebuild "
-                "fresh: " + "; ".join(_mismatch))
+                "fresh: " + "; ".join(diffs))
     else:
         # a FRESH build owns the whole dir: stale segments from any
         # previous build in the same location must not survive into the
@@ -501,29 +473,8 @@ def build_index(
                 batch_format="pyarrow",
             ).take_all()
             hot_terms = sorted(r["term"] for r in hot_rows)
-        manifest = IndexManifest(
-            status="building",
-            n_docs=0,            # exact stats arrive via sentinel rows at finalize
-            avgdl=0.0,
-            total_tokens=0,
-            n_terms=0,
-            k1=cfg.k1,
-            b=cfg.b,
-            block_size=cfg.block_size,
-            num_partitions=cfg.num_partitions,
-            analyzer_mode=cfg.analyzer.mode,
-            remove_stopwords=cfg.analyzer.remove_stopwords,
-            stem=cfg.analyzer.stem,
-            dedup_tokens=cfg.analyzer.dedup_tokens,
-            min_token_len=cfg.analyzer.min_token_len,
-            max_token_len=cfg.analyzer.max_token_len,
-            lang_split_case=cfg.analyzer.lang_split_case,
-            lang_col=cfg.analyzer.lang_col,
-            store_positions=store_positions,
-            hot_terms=hot_terms,
-            hot_term_salt_buckets=cfg.hot_term_salt_buckets,
-            input_path=input_path,
-        )
+        manifest = IndexManifest.from_config(cfg, store_positions, hot_terms=hot_terms,
+                                             input_path=input_path)
         manifest.save(index_dir)
 
     hot = frozenset(manifest.hot_terms)
@@ -595,16 +546,9 @@ def build_index(
     manifest.total_tokens = sum(m.get("tokens_partial", 0) for m in done_meta.values())
     manifest.avgdl = (manifest.total_tokens / manifest.n_docs) if manifest.n_docs else 0.0
 
-    # EXACT distinct-term count: only salted hot terms span partitions;
-    # subtract their extra placements via the per-part hot-presence lists
-    # (the same correction merge_indexes / repartition_index apply). The
-    # query path never consults n_terms (df comes from segment rows).
-    manifest.n_terms = sum(p.get("n_terms", 0) for p in manifest.parts.values())
-    _hot_hits: dict[str, int] = {}
-    for p in manifest.parts.values():
-        for t in p.get("hot_terms_present", []):
-            _hot_hits[t] = _hot_hits.get(t, 0) + 1
-    manifest.n_terms -= sum(h - 1 for h in _hot_hits.values() if h > 1)
+    # EXACT distinct-term count (the query path never consults n_terms:
+    # df comes from segment rows)
+    manifest.n_terms = exact_n_terms(manifest.parts)
 
     # the docmap side write must land (and any failure surface) BEFORE
     # the manifest flips to complete
@@ -617,9 +561,7 @@ def build_index(
     if use_checkpoint:
         # the checkpoint stays — it IS the docmap; only the pre-pass
         # sample side table is spent
-        import shutil
-
-        shutil.rmtree(sample_path, ignore_errors=True)
+        _sh.rmtree(sample_path, ignore_errors=True)
     return manifest
 
 
@@ -659,11 +601,7 @@ def build_multi_field(
         input_path, first_dir, cfg0, transcripts_ds=transcripts_ds, **kw
     )
     docmap = os.path.join(first_dir, "docmap.parquet")
-    ckpt_files = (
-        sorted(os.path.join(docmap, f) for f in os.listdir(docmap) if f.endswith(".parquet"))
-        if corpus_checkpoint_complete(docmap)
-        else None
-    )
+    ckpt_files = _sorted_corpus_files(docmap) if corpus_checkpoint_complete(docmap) else None
     for mode in modes[1:]:
         cfg_m = replace(cfg, analyzer=replace(cfg.analyzer, mode=mode))
         field_dir = os.path.join(base_dir, f"field={mode}")

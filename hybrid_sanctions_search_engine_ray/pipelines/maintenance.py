@@ -30,6 +30,7 @@ index-swap flow, SURVEY.md §2.1 S8):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -52,9 +53,17 @@ from hybrid_sanctions_search_engine_ray.functions.codec import (
 )
 from hybrid_sanctions_search_engine_ray.stages.postings import write_segment
 from hybrid_sanctions_search_engine_ray.state.manifest import (
+    ANALYZER,
+    LAYOUT,
+    MANIFEST_VERSION,
+    SCORING,
     SEGMENT_FILE,
     IndexManifest,
     atomic_write_json,
+    completed_parts,
+    docmap_columns,
+    exact_n_terms,
+    identity_diff,
     segment_dir,
     segment_file,
 )
@@ -201,14 +210,7 @@ def _run_plan(index_dir: str, m: IndexManifest, plan: dict) -> IndexManifest:
         m.n_docs -= int(plan["n_docs_removed"])
         m.total_tokens -= int(plan["tokens_removed"])
     m.avgdl = (m.total_tokens / m.n_docs) if m.n_docs else 0.0
-    # same hot-term overcount correction as merge/repartition: a salted
-    # term appears in several partitions but is ONE distinct term
-    n_terms_sum = sum(p.get("n_terms", 0) for p in m.parts.values())
-    hot_hits: dict[str, int] = {}
-    for p in m.parts.values():
-        for t in p.get("hot_terms_present", []):
-            hot_hits[t] = hot_hits.get(t, 0) + 1
-    m.n_terms = n_terms_sum - sum(h - 1 for h in hot_hits.values() if h > 1)
+    m.n_terms = exact_n_terms(m.parts)
     m.save(index_dir)
     # optional vocabulary artifact: regenerate so df/cf reflect the purge
     if os.path.exists(os.path.join(index_dir, "dictionary.parquet")):
@@ -356,11 +358,13 @@ def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> 
     global values, and factors are recomputed at read time from the
     untouched (tf, dl) payloads.
 
-    Requirements: identical scoring/layout params across sources
-    (k1, b, analyzer, num_partitions, salt buckets, positions) and no
-    pending tombstones (run :func:`compact_index` first — merge does not
-    resurrect Lucene's purge-on-merge here because the compactor already
-    owns that logic with crash-safe stats correction).
+    Requirements: identical index identity across sources (the SCORING,
+    ANALYZER and LAYOUT groups of state/manifest.py), every docmap
+    storing the first source's columns (a later source's extra columns
+    are dropped), and no pending tombstones (run :func:`compact_index`
+    first — merge does not resurrect Lucene's purge-on-merge here
+    because the compactor already owns that logic with crash-safe stats
+    correction).
 
     One Ray task per partition (the natural parallel unit); resumable:
     with ``resume=True`` finished partitions (meta.json present) are
@@ -376,52 +380,40 @@ def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> 
     for m in ms:
         if m.status != "complete":
             raise ValueError("all source indexes must be complete")
-    from hybrid_sanctions_search_engine_ray.state.manifest import analyzer_key
-
-    # FULL analyzer identity — dedup_tokens/token bounds/case routing
-    # change tokenization too (code-review r05 finding)
-    key = lambda m: (m.k1, m.b, analyzer_key(m),  # noqa: E731
-                     m.num_partitions, m.hot_term_salt_buckets, m.block_size,
-                     m.store_positions)
-    if len({key(m) for m in ms}) != 1:
-        raise ValueError("source indexes disagree on scoring/layout parameters")
+    m0 = ms[0]
+    for d, m in zip(index_dirs[1:], ms[1:]):
+        diffs = identity_diff(m0, m, SCORING + ANALYZER + LAYOUT, labels=("first", "source"))
+        if diffs:
+            raise ValueError(f"source indexes disagree on scoring/layout parameters ({d}): "
+                             + "; ".join(diffs))
     for d in index_dirs:
         if load_tombstones(d).size:
             raise ValueError(f"{d} has pending tombstones; compact_index() it before merging")
 
-    docmap_schemas = [
-        set(pads.dataset(os.path.join(d, "docmap.parquet")).schema.names) for d in index_dirs
-    ]
-    if len({frozenset(s) for s in docmap_schemas}) != 1:
+    # the merged docmap stores the first source's columns: a delta built
+    # through the checkpoint path carries ``text`` that a text-less base
+    # lacks, and drops it here; a source MISSING a column is refused
+    docmap_cols = docmap_columns(index_dirs[0])
+    if any(set(docmap_cols) - set(docmap_columns(d)) for d in index_dirs[1:]):
         raise ValueError("source docmaps disagree on stored columns (store_text mismatch)")
 
     sizes = [pads.dataset(os.path.join(d, "docmap.parquet")).count_rows() for d in index_dirs]
     offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
     srcs = [(d, int(o)) for d, o in zip(index_dirs, offsets)]
 
-    m0 = ms[0]
-    out = IndexManifest(
-        status="building",
-        n_docs=sum(m.n_docs for m in ms),
-        total_tokens=sum(m.total_tokens for m in ms),
-        k1=m0.k1, b=m0.b, block_size=m0.block_size,
-        num_partitions=m0.num_partitions,
-        analyzer_mode=m0.analyzer_mode, remove_stopwords=m0.remove_stopwords,
-        stem=m0.stem, dedup_tokens=m0.dedup_tokens,
-        min_token_len=m0.min_token_len, max_token_len=m0.max_token_len,
-        lang_split_case=m0.lang_split_case, lang_col=m0.lang_col,
-        store_positions=m0.store_positions,
+    n_docs = sum(m.n_docs for m in ms)
+    total_tokens = sum(m.total_tokens for m in ms)
+    out = dataclasses.replace(
+        m0, version=MANIFEST_VERSION, status="building", parts={},
+        n_docs=n_docs, total_tokens=total_tokens,
+        avgdl=total_tokens / n_docs if n_docs else 0.0,
         hot_terms=sorted({t for m in ms for t in m.hot_terms}),
-        hot_term_salt_buckets=m0.hot_term_salt_buckets,
         input_path=";".join(index_dirs),
     )
-    out.avgdl = out.total_tokens / out.n_docs if out.n_docs else 0.0
     os.makedirs(out_dir, exist_ok=True)
 
     done = {}
     if resume:
-        from hybrid_sanctions_search_engine_ray.state.manifest import completed_parts
-
         done = completed_parts(out_dir)
         # a meta left by a DIFFERENT merge (other sources) must not be
         # incorporated — its postings carry the wrong doc-id offsets
@@ -436,17 +428,10 @@ def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> 
     parts_meta = {str(p): meta for p, meta in done.items()}
     for r in results:
         parts_meta[str(r["part"])] = r["meta"]
-    # exact distinct-term count: a non-hot term lives in exactly one
-    # partition (same hash placement in every source), so Σ per-part
-    # uniques only overcounts hot (salted) terms — subtract their extra
-    # placements using the per-part hot-presence lists in meta.json
-    # (present for fresh AND resumed parts alike).
-    n_terms_sum = sum(int(meta["n_terms"]) for meta in parts_meta.values())
-    hot_hits: dict[str, int] = {}
-    for meta in parts_meta.values():
-        for t in meta.get("hot_terms_present", []):
-            hot_hits[t] = hot_hits.get(t, 0) + 1
-    out.n_terms = n_terms_sum - sum(h - 1 for h in hot_hits.values() if h > 1)
+    # a non-hot term has the same hash placement in every source, so
+    # only hot terms span partitions (meta.json lists them for fresh AND
+    # resumed parts alike)
+    out.n_terms = exact_n_terms(parts_meta)
     out.parts = parts_meta
 
     # docmap: stream each source's rows with its offset into the merged
@@ -460,7 +445,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> 
         dm_tmp = dm_out + ".tmp"
         shutil.rmtree(dm_tmp, ignore_errors=True)
         for i, (d, off) in enumerate(srcs):
-            ds = rd.read_parquet(os.path.join(d, "docmap.parquet"))
+            ds = rd.read_parquet(os.path.join(d, "docmap.parquet"), columns=docmap_cols)
             if off:
                 ds = ds.map_batches(
                     lambda b, _off=off: b.set_column(
@@ -483,7 +468,7 @@ def ingest_delta(main_index: str, delta_transcripts_ds, out_dir: str,
                  delta_work_dir: str | None = None, resume: bool = False):
     """Incremental ingestion with PHYSICAL consolidation: build a delta
     index over the new transcripts (inheriting the main index's
-    scoring/layout parameters so the merge is legal), then
+    identity and stored columns so the merge is legal), then
     :func:`merge_indexes` main+delta into ``out_dir``. The main index is
     never modified — callers swap directories when ready (manifest-last
     gives the same atomic-snapshot semantics as a build).
@@ -495,28 +480,11 @@ def ingest_delta(main_index: str, delta_transcripts_ds, out_dir: str,
     """
     import tempfile
 
-    from hybrid_sanctions_search_engine_ray.config import AnalyzerConfig, EngineConfig
     from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
 
     m = IndexManifest.load(main_index)
     if m.status != "complete":
         raise ValueError("main index must be complete")
-    from hybrid_sanctions_search_engine_ray.state.manifest import analyzer_from_manifest
-
-    # the FULL analyzer config — a partial reconstruction tokenized the
-    # delta inconsistently with the main index (code-review r05 finding)
-    cfg = EngineConfig(
-        k1=m.k1, b=m.b, block_size=m.block_size, num_partitions=m.num_partitions,
-        hot_term_salt_buckets=m.hot_term_salt_buckets,
-        analyzer=analyzer_from_manifest(m),
-    )
-    # store_text must match the main index or merge_indexes' docmap
-    # schema check rejects the (already-built) delta — derive it from
-    # the main docmap (code-review r05 finding)
-    import pyarrow.dataset as _pads
-
-    main_store_text = "text" in _pads.dataset(
-        os.path.join(main_index, "docmap.parquet")).schema.names
     work = delta_work_dir or tempfile.mkdtemp(prefix="graft_delta_")
     delta_manifest_done = False
     if resume:
@@ -525,9 +493,9 @@ def ingest_delta(main_index: str, delta_transcripts_ds, out_dir: str,
         except FileNotFoundError:
             pass
     if not delta_manifest_done:
-        build_index(work + "_src", work, cfg, transcripts_ds=delta_transcripts_ds,
+        build_index(work + "_src", work, m.engine_config(), transcripts_ds=delta_transcripts_ds,
                     resume=resume, store_positions=m.store_positions,
-                    store_text=main_store_text)
+                    store_text="text" in docmap_columns(main_index))
     return merge_indexes([main_index, work], out_dir, resume=resume)
 
 
@@ -616,8 +584,6 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
     file probed instead of base+salts), but the build-time salting
     spread is gone; a rebuild is the way to re-salt for a new layout.
     """
-    import pyarrow.dataset as pads
-
     import ray.data as rd
 
     from hybrid_sanctions_search_engine_ray.functions.hashing import hash_string_array
@@ -684,27 +650,11 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
             atomic_write_json(os.path.join(sdir, "meta.json"), meta)
             parts_meta[str(p)] = meta
 
-    out = IndexManifest(
-        status="building",
-        n_docs=m.n_docs, avgdl=m.avgdl, total_tokens=m.total_tokens,
-        k1=m.k1, b=m.b, block_size=m.block_size,
-        num_partitions=new_partitions,
-        analyzer_mode=m.analyzer_mode, remove_stopwords=m.remove_stopwords,
-        stem=m.stem, dedup_tokens=m.dedup_tokens,
-        min_token_len=m.min_token_len, max_token_len=m.max_token_len,
-        lang_split_case=m.lang_split_case, lang_col=m.lang_col,
-        store_positions=m.store_positions,
-        hot_terms=list(m.hot_terms), hot_term_salt_buckets=m.hot_term_salt_buckets,
-        input_path=index_dir,
+    out = dataclasses.replace(
+        m, version=MANIFEST_VERSION, status="building", parts=parts_meta,
+        n_terms=exact_n_terms(parts_meta), hot_terms=list(m.hot_terms),
+        num_partitions=new_partitions, input_path=index_dir,
     )
-    # exact distinct-term count: same hot-overcount correction as merge
-    n_terms_sum = sum(int(meta["n_terms"]) for meta in parts_meta.values())
-    hot_hits: dict[str, int] = {}
-    for meta in parts_meta.values():
-        for t in meta.get("hot_terms_present", []):
-            hot_hits[t] = hot_hits.get(t, 0) + 1
-    out.n_terms = n_terms_sum - sum(h - 1 for h in hot_hits.values() if h > 1)
-    out.parts = parts_meta
 
     dm_out = os.path.join(out_dir, "docmap.parquet")
     if not (os.path.isdir(dm_out) and os.listdir(dm_out)):
@@ -820,7 +770,6 @@ def reindex(src_index_dir: str, out_dir: str, cfg=None,
     doc_id-sorted on disk, so the global sort is skipped
     (``assume_sorted``). Refuses pending tombstones (compact first) —
     same contract as ``merge_indexes``."""
-    import pyarrow.dataset as pads
     import ray.data as rd
 
     from hybrid_sanctions_search_engine_ray.config import DEFAULT_CONFIG
@@ -833,8 +782,7 @@ def reindex(src_index_dir: str, out_dir: str, cfg=None,
     if load_tombstones(src_index_dir).size:
         raise ValueError("source index has pending deletes; compact_index first")
     dm_path = os.path.join(src_index_dir, "docmap.parquet")
-    schema_names = pads.dataset(dm_path).schema.names
-    if "text" not in schema_names:
+    if "text" not in docmap_columns(src_index_dir):
         raise ValueError("source index was not built with store_text=True; "
                          "reindex needs the stored documents")
     ds = rd.read_parquet(dm_path)
@@ -857,26 +805,16 @@ def append_documents(index_dir: str, new_transcripts_ds, out_dir: str,
     docs/DATA_PIPELINE.md index rotation)."""
     import shutil as _sh
 
-    from hybrid_sanctions_search_engine_ray.config import AnalyzerConfig, EngineConfig
     from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
 
     m = IndexManifest.load(index_dir)
     if m.status != "complete":
         raise ValueError(f"live index at {index_dir} is not complete")
-    from hybrid_sanctions_search_engine_ray.state.manifest import analyzer_from_manifest
-
-    cfg = EngineConfig(
-        k1=m.k1, b=m.b, block_size=m.block_size, num_partitions=m.num_partitions,
-        hot_term_salt_buckets=m.hot_term_salt_buckets,
-        analyzer=analyzer_from_manifest(m),  # FULL config (code-review r05)
-    )
-    import pyarrow.dataset as pads
-
-    store_text = "text" in pads.dataset(os.path.join(index_dir, "docmap.parquet")).schema.names
     delta_dir = out_dir.rstrip("/") + ".delta"
     _sh.rmtree(delta_dir, ignore_errors=True)
-    build_index("mem", delta_dir, cfg, transcripts_ds=new_transcripts_ds,
-                store_text=store_text, store_positions=m.store_positions)
+    build_index("mem", delta_dir, m.engine_config(), transcripts_ds=new_transcripts_ds,
+                store_text="text" in docmap_columns(index_dir),
+                store_positions=m.store_positions)
     merged = merge_indexes([index_dir, delta_dir], out_dir)
     _sh.rmtree(delta_dir, ignore_errors=True)
     if registry is not None and alias is not None:

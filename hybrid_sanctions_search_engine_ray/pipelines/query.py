@@ -41,14 +41,19 @@ from hybrid_sanctions_search_engine_ray.functions.bm25 import (
 )
 from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting, decode_rows, varint_counts
 from hybrid_sanctions_search_engine_ray.functions.hashing import term_hash
-from hybrid_sanctions_search_engine_ray.state.manifest import (
-    IndexManifest,
-    analyzer_from_manifest,
-    segment_file,
-)
+from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest, segment_file
 
 # cap on a query's top_k (reference contracts.py:62 — default 50, max 1000)
 MAX_TOP_K = 1000
+
+# the top-k kernels a reader serves by ``method`` name
+SEARCH_METHODS = {"maxscore": score_maxscore, "taat": score_taat}
+
+
+def search_kernel(method: str):
+    if method not in SEARCH_METHODS:
+        raise ValueError(f"unknown search method {method!r}; expected one of {sorted(SEARCH_METHODS)}")
+    return SEARCH_METHODS[method]
 
 
 class IndexReader:
@@ -69,16 +74,10 @@ class IndexReader:
         if self.manifest.status != "complete":
             raise RuntimeError(f"index at {index_dir} is not complete (status={self.manifest.status})")
         self.hot = frozenset(self.manifest.hot_terms)
-        self.cfg = EngineConfig(
-            k1=self.manifest.k1,
-            b=self.manifest.b,
-            block_size=self.manifest.block_size,
-            num_partitions=self.manifest.num_partitions,
-            hot_term_salt_buckets=self.manifest.hot_term_salt_buckets,
-            # query strings have no language column — keep the per-string
-            # script detection for the case rule
-            analyzer=dataclasses.replace(analyzer_from_manifest(self.manifest), lang_col=None),
-        )
+        cfg = self.manifest.engine_config()
+        # query strings have no language column — keep the per-string
+        # script detection for the case rule
+        self.cfg = dataclasses.replace(cfg, analyzer=dataclasses.replace(cfg.analyzer, lang_col=None))
         self.analyzer = get_analyzer(
             AnalyzerConfig(mode=search_mode) if search_mode else self.cfg.analyzer
         )
@@ -226,11 +225,11 @@ class IndexReader:
 
     # --- scoring ------------------------------------------------------------
     def search_one(self, query_text: str, top_k: int, method: str = "maxscore") -> tuple[np.ndarray, np.ndarray]:
+        fn = search_kernel(method)
         # clamp to the reference's cap (contracts.py:62 — default 50, max 1000)
         top_k = max(1, min(int(top_k), MAX_TOP_K))
         terms = sorted(set(self.analyzer(query_text)))
         postings = list(self.load_postings(terms).values())
-        fn = score_maxscore if method == "maxscore" else score_taat
         return fn(postings, top_k)
 
     def _search_one_kernel(self, query_text: str, top_k: int, kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -612,6 +611,7 @@ class BM25Scorer(Scorer):
 
 def search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG, method: str = "maxscore"):
     """Queries Dataset (query_id, query_text[, top_k]) → results Dataset."""
+    search_kernel(method)  # refuse an unknown method before any actor starts
     return map_scorer(queries_ds, BM25Scorer, cfg, index_dir, cfg.top_k, method)
 
 

@@ -16,6 +16,16 @@ watchlist_index_service.py:319-457)::
 A build is resumable because each partition's segment file + meta.json
 land atomically and independently; a re-run scans ``segments/*/meta.json``
 and skips completed partitions (FIXTURES.md §4 semantics).
+
+Index identity — the manifest fields two builds must share for resume,
+merge and federation to be exact — is three groups, compared with
+:func:`identity_diff`: ``SCORING`` (k1, b), ``ANALYZER`` (every field
+that changes tokenization) and ``LAYOUT`` (partitions, hot-term
+salting, block size, positions: where a posting lands and what it
+holds). Resume and merge compare all three, federation SCORING +
+ANALYZER. The other fields are corpus stats (n_docs, avgdl,
+total_tokens, n_terms) or lineage/state (version, status, hot_terms,
+parts, input_path).
 """
 
 from __future__ import annotations
@@ -23,8 +33,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any
+
+from hybrid_sanctions_search_engine_ray.config import AnalyzerConfig, EngineConfig
 
 
 def atomic_write_json(path: str, obj: Any) -> None:
@@ -48,6 +61,13 @@ def atomic_publish_file(tmp_path: str, final_path: str) -> None:
 # newest manifest format this code reads; a newer index is refused
 MANIFEST_VERSION = 1
 
+# the index identity groups (IndexManifest field names)
+SCORING = ("k1", "b")
+ANALYZER = ("analyzer_mode", "remove_stopwords", "stem", "dedup_tokens",
+            "min_token_len", "max_token_len", "lang_split_case", "lang_col")
+LAYOUT = ("num_partitions", "hot_term_salt_buckets", "hot_term_salt_shift",
+          "block_size", "store_positions")
+
 
 @dataclass
 class IndexManifest:
@@ -58,7 +78,7 @@ class IndexManifest:
     avgdl: float = 0.0
     total_tokens: int = 0
     n_terms: int = 0
-    # scoring / layout params (immutable per index)
+    # identity (SCORING, ANALYZER, LAYOUT above; immutable per index)
     k1: float = 1.2
     b: float = 0.75
     block_size: int = 128
@@ -67,10 +87,7 @@ class IndexManifest:
     remove_stopwords: bool = False
     stem: str = ""
     dedup_tokens: bool = False
-    # the REST of AnalyzerConfig — persisted so readers reconstruct the
-    # exact build analyzer (older manifests default to these; a
-    # non-default build without them silently diverged query-side
-    # tokenization — code-review r05 finding)
+    # the rest of the ANALYZER group (older manifests default to these)
     min_token_len: int = 1
     max_token_len: int = 64
     lang_split_case: bool = False
@@ -79,9 +96,41 @@ class IndexManifest:
     # skew handling
     hot_terms: list[str] = field(default_factory=list)
     hot_term_salt_buckets: int = 1
+    # decides a hot-term posting's salt, hence its partition; manifests
+    # written before it was persisted read as EngineConfig's default
+    hot_term_salt_shift: int = 12
     # lineage: part → {n_terms, n_rows, n_postings, checksum, elapsed_s, input}
     parts: dict[str, dict] = field(default_factory=dict)
     input_path: str = ""
+
+    @classmethod
+    def from_config(cls, cfg: EngineConfig, store_positions: bool = False,
+                    **lineage) -> "IndexManifest":
+        """A fresh build's manifest; ``lineage`` sets hot_terms/input_path."""
+        a = cfg.analyzer
+        return cls(
+            k1=cfg.k1, b=cfg.b,
+            analyzer_mode=a.mode, remove_stopwords=a.remove_stopwords, stem=a.stem,
+            dedup_tokens=a.dedup_tokens, min_token_len=a.min_token_len,
+            max_token_len=a.max_token_len, lang_split_case=a.lang_split_case,
+            lang_col=a.lang_col,
+            num_partitions=cfg.num_partitions,
+            hot_term_salt_buckets=cfg.hot_term_salt_buckets,
+            hot_term_salt_shift=cfg.hot_term_salt_shift,
+            block_size=cfg.block_size, store_positions=store_positions,
+            **lineage,
+        )
+
+    def engine_config(self) -> EngineConfig:
+        """The inverse of :meth:`from_config` (``store_positions`` is a
+        build argument, not a config field)."""
+        return EngineConfig(
+            k1=self.k1, b=self.b, block_size=self.block_size,
+            num_partitions=self.num_partitions,
+            hot_term_salt_buckets=self.hot_term_salt_buckets,
+            hot_term_salt_shift=self.hot_term_salt_shift,
+            analyzer=analyzer_from_manifest(self),
+        )
 
     def save(self, index_dir: str) -> None:
         atomic_write_json(os.path.join(index_dir, "manifest.json"), asdict(self))
@@ -130,15 +179,13 @@ def completed_parts(index_dir: str) -> dict[int, dict]:
     return done
 
 
-def analyzer_from_manifest(m: "IndexManifest"):
+def analyzer_from_manifest(m: "IndexManifest") -> AnalyzerConfig:
     """Reconstruct the FULL build analyzer from a manifest — every
     persisted field, not just mode/stopwords/stem (partial
     reconstruction silently diverged query/delta tokenization from the
     build — code-review r05 finding). ``name_field`` is set for
     "_names" stemmers so readers don't re-fire the build-time consent
     warning."""
-    from hybrid_sanctions_search_engine_ray.config import AnalyzerConfig
-
     return AnalyzerConfig(
         mode=m.analyzer_mode,
         remove_stopwords=m.remove_stopwords,
@@ -152,8 +199,28 @@ def analyzer_from_manifest(m: "IndexManifest"):
     )
 
 
-def analyzer_key(m: "IndexManifest") -> tuple:
-    """The analyzer-identity tuple two indexes must share to be
-    mergeable / federable — every field that changes tokenization."""
-    return (m.analyzer_mode, m.remove_stopwords, m.stem, m.dedup_tokens,
-            m.min_token_len, m.max_token_len, m.lang_split_case, m.lang_col)
+def identity_diff(saved: IndexManifest, other: IndexManifest, fields: tuple,
+                  labels: tuple = ("saved", "cfg")) -> list[str]:
+    """The named differences between two manifests over ``fields`` (one
+    or more identity groups), e.g. ``"k1: saved=1.2 cfg=2.0"``."""
+    a, b = labels
+    return [f"{n}: {a}={getattr(saved, n)!r} {b}={getattr(other, n)!r}"
+            for n in fields if getattr(saved, n) != getattr(other, n)]
+
+
+def exact_n_terms(parts: dict[str, dict]) -> int:
+    """Distinct terms over partition metas: a non-hot term lives in one
+    partition, so Σ per-part ``n_terms`` overcounts only salted hot
+    terms — subtract their extra placements, read from each part's
+    ``hot_terms_present``."""
+    placements = Counter(t for p in parts.values() for t in p.get("hot_terms_present", []))
+    return (sum(int(p.get("n_terms", 0)) for p in parts.values())
+            - sum(h - 1 for h in placements.values()))
+
+
+def docmap_columns(index_dir: str) -> list[str]:
+    """The columns an index's docmap stores (``text`` only when built
+    with stored documents)."""
+    import pyarrow.dataset as pads
+
+    return pads.dataset(os.path.join(index_dir, "docmap.parquet")).schema.names

@@ -601,13 +601,95 @@ def test_resume_with_changed_config_refuses(ray_session, tmp_path):
     with _pytest.raises(RuntimeError):
         build_index("mem", idx, EngineConfig(num_partitions=4),
                     transcripts_ds=ds, fail_after_parts=1)
-    with _pytest.raises(ValueError, match="config differs"):
-        build_index("mem", idx, EngineConfig(num_partitions=8),
-                    transcripts_ds=ds, resume=True)
+    # a different partition count, hot-term salt shift (it decides each
+    # hot posting's partition) or BM25 k1 (the manifest would keep the
+    # saved one) is each refused
+    for changed in (dict(num_partitions=8), dict(hot_term_salt_shift=6), dict(k1=2.0)):
+        with _pytest.raises(ValueError, match="config differs"):
+            build_index("mem", idx, EngineConfig(num_partitions=4).with_(**changed),
+                        transcripts_ds=ds, resume=True)
     # original config resumes fine
     m = build_index("mem", idx, EngineConfig(num_partitions=4),
                     transcripts_ds=ds, resume=True)
     assert m.status == "complete"
+
+
+def test_every_manifest_field_is_classified():
+    """Each manifest field is index identity (compared by resume, merge
+    and federation), corpus stats, or lineage/state — exactly one. A new
+    field must be placed, which decides whether those paths compare it."""
+    import dataclasses
+
+    from hybrid_sanctions_search_engine_ray.state.manifest import (
+        ANALYZER,
+        LAYOUT,
+        SCORING,
+        IndexManifest,
+    )
+
+    groups = [SCORING, ANALYZER, LAYOUT,
+              ("n_docs", "avgdl", "total_tokens", "n_terms"),
+              ("version", "status", "hot_terms", "parts", "input_path")]
+    placed = [n for g in groups for n in g]
+    assert len(placed) == len(set(placed))
+    assert sorted(placed) == sorted(f.name for f in dataclasses.fields(IndexManifest))
+
+
+def _append_on_sorted_base(tmp_path, corpus_dir, append):
+    """Build a text-less ``assume_sorted`` base over all but the last
+    shard of ``corpus_dir``, ``append`` the last shard's rows to it, and
+    check the result against a fresh build over every shard."""
+    import shutil
+
+    import pyarrow.dataset as pads
+    import ray.data as rd
+
+    def docmap_columns(idx):
+        return pads.dataset(os.path.join(idx, "docmap.parquet")).schema.names
+
+    cfg = EngineConfig(num_partitions=4, block_size=16, hot_term_df_ratio=0.2,
+                       hot_term_salt_buckets=3, hot_term_salt_shift=6,
+                       analyzer=AnalyzerConfig(mode="simple"))
+    shards = sorted(f for f in os.listdir(corpus_dir) if f.endswith(".parquet"))
+    base_src = tmp_path / "base_src"
+    base_src.mkdir()
+    for f in shards[:-1]:
+        shutil.copy(os.path.join(corpus_dir, f), base_src / f)
+    base = str(tmp_path / "base")
+    build_index(str(base_src), base, cfg, assume_sorted=True)
+    assert "text" not in docmap_columns(base)
+
+    out = str(tmp_path / "appended")
+    m = append(base, rd.read_parquet(os.path.join(corpus_dir, shards[-1])), out)
+    assert m.status == "complete"
+    assert docmap_columns(out) == docmap_columns(base)
+
+    full = str(tmp_path / "full")
+    build_index(corpus_dir, full, cfg, assume_sorted=True)
+    got, want = IndexReader(out), IndexReader(full)
+    assert (got.manifest.n_docs, got.manifest.total_tokens) == (
+        want.manifest.n_docs, want.manifest.total_tokens)
+    for q in ["payment transfer", "the", "tok00042 payment", "иванов иван",
+              "tok00001 tok00007", "zzznothing"]:
+        for k in (1, 10, 50):
+            d1, s1 = got.search_one(q, k)
+            d2, s2 = want.search_one(q, k)
+            assert d1.tolist() == d2.tolist(), (q, k)
+            assert np.allclose(s1, s2, rtol=0, atol=1e-9), (q, k)
+
+
+def test_append_documents_on_assume_sorted_base(ray_session, tmp_path, corpus_dir):
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import append_documents
+
+    _append_on_sorted_base(tmp_path, corpus_dir, append_documents)
+
+
+def test_ingest_delta_on_assume_sorted_base(ray_session, tmp_path, corpus_dir):
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import ingest_delta
+
+    _append_on_sorted_base(
+        tmp_path, corpus_dir,
+        lambda base, ds, out: ingest_delta(base, ds, out, delta_work_dir=str(tmp_path / "work")))
 
 
 def test_compaction_plan_rerun_is_idempotent(ray_session, tmp_path):

@@ -221,6 +221,21 @@ def test_reader_refuses_newer_manifest_version(built_index, tmp_path):
         IndexReader(idx)
 
 
+@pytest.mark.parametrize("method", ["bmw", "maxscroe"])
+def test_unknown_search_method_refused(built_index, method):
+    import ray.data as rd
+
+    from hybrid_sanctions_search_engine_ray.pipelines.federated import FederatedReader
+
+    index_dir, cfg, _ = built_index
+    for reader in (IndexReader(index_dir), FederatedReader([index_dir])):
+        with pytest.raises(ValueError, match=rf"unknown search method '{method}'.*maxscore.*taat"):
+            reader.search_one("payment transfer", 5, method=method)
+    qs = rd.from_items([{"query_id": "q", "query_text": "payment", "top_k": 5}])
+    with pytest.raises(ValueError, match=f"'{method}'"):
+        search(qs, index_dir, cfg, method=method)
+
+
 def test_conv_search_rollup_consistent(built_index):
     """Conversation max-score rollup: each returned conv's score equals
     the best turn score among its member docs, and sum mode >= max."""
