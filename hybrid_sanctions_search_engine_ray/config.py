@@ -112,9 +112,6 @@ class EngineConfig:
     # pinned in memory during the build (3 consumers, zero re-read);
     # larger corpora stream from disk (nothing corpus-sized pinned)
     in_memory_build_bytes: int = 256 << 20
-    # shuffle mode for the postings exchange: "plain" rows through
-    # groupby(part), or "packed" map-side-serialized payload blobs
-    shuffle_mode: str = "packed"
     score_batch_size: int = 64        # queries per scorer-actor batch
     scorer_concurrency: int = 4
 

@@ -16,7 +16,10 @@ the posting intermediate and collapsed under object-store pressure at
 145M+ postings). Exact corpus stats (N, Σdl) ride the shuffle as
 sentinel rows folded into partition metas; exact per-term df/cf come
 from the segment rows themselves (the query path reads them anyway, and
-``write_dictionary`` can materialize the vocabulary on demand).
+``write_dictionary`` can materialize the vocabulary on demand). Each
+partition lands through ``stages/postings.publish_partition`` and the
+manifest's ``parts`` are read back from those records
+(``state/manifest.part_summaries``).
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ import ray
 from hybrid_sanctions_search_engine_ray.config import DEFAULT_CONFIG, EngineConfig
 from hybrid_sanctions_search_engine_ray.stages.analyze import (
     DOC_SENTINEL,
+    HOT_SAMPLE_EVERY,
     emit_postings_with_sentinel,
     emit_sampled_term_stats,
     emit_term_stats,
 )
 from hybrid_sanctions_search_engine_ray.stages.postings import (
     assign_partitions,
-    build_segment,
     build_segment_packed,
     pack_postings_by_part,
 )
@@ -51,6 +54,8 @@ from hybrid_sanctions_search_engine_ray.state.manifest import (
     completed_parts,
     exact_n_terms,
     identity_diff,
+    part_summaries,
+    publish_dir,
     segment_file,
 )
 
@@ -87,7 +92,6 @@ def _attach_ids_task(tmp_path: str, offset: int, out_path: str, sample_path: str
         os.replace(tmp_out, out_path)
     if sample_path is not None:
         from hybrid_sanctions_search_engine_ray.functions.hashing import hash_string_array
-        from hybrid_sanctions_search_engine_ray.stages.analyze import HOT_SAMPLE_EVERY
 
         mask = (hash_string_array(t["conv_id"]) % HOT_SAMPLE_EVERY) == 0
         sub = t.filter(pa.array(mask))
@@ -238,45 +242,6 @@ def read_sorted_parquet_with_ids(input_path: str, columns: list[str]):
     )
 
 
-def _finish_dictionary(stats_ds, index_dir: str, cfg: EngineConfig):
-    """Write dictionary.parquet (term-sorted for row-group-pruned query
-    lookups) and derive corpus stats + the hot-term set."""
-    dict_path = os.path.join(index_dir, "dictionary.parquet")
-    stats_ds.sort("term").write_parquet(dict_path)
-
-    import pyarrow.dataset as pads
-
-    dict_data = pads.dataset(dict_path)
-    sent = dict_data.to_table(filter=pads.field("term") == DOC_SENTINEL)
-    n_docs = int(sent["df"][0].as_py()) if sent.num_rows else 0
-    total_tokens = int(sent["cf"][0].as_py()) if sent.num_rows else 0
-    n_terms = dict_data.count_rows() - sent.num_rows
-    avgdl = (total_tokens / n_docs) if n_docs else 0.0
-    hot_cut = max(2, int(cfg.hot_term_df_ratio * n_docs))
-    hot = dict_data.to_table(filter=(pads.field("df") >= hot_cut) & (pads.field("term") != DOC_SENTINEL))
-    hot_terms = sorted(hot["term"].to_pylist())
-    return n_docs, total_tokens, n_terms, avgdl, hot_terms
-
-
-def build_dictionary(ds, index_dir: str, cfg: EngineConfig):
-    """Standalone dictionary pass (df/cf per term + corpus stats) over a
-    raw transcript Dataset. ``build_index`` does NOT use this — it gets
-    stats from its fused scan and df/cf from the built segments
-    (``write_dictionary``); this is the single-purpose analytics op."""
-    from ray.data.aggregate import Sum
-
-    stats_ds = (
-        ds.map_batches(
-            lambda b: emit_term_stats(b, cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.analyze_batch_size,
-        )
-        .groupby("term")
-        .aggregate(Sum("df_p", alias_name="df"), Sum("cf_p", alias_name="cf"))
-    )
-    return _finish_dictionary(stats_ds, index_dir, cfg)
-
-
 def build_index(
     input_path: str,
     index_dir: str,
@@ -324,22 +289,15 @@ def build_index(
     # The docmap has NO consumer inside the build (queries read it after
     # completion), so its write runs on a side thread OVERLAPPED with the
     # pre-pass + postings shuffle — at bench scale it was ~40% of the
-    # wall. Atomicity: write into docmap.parquet.tmp, rename when done —
-    # a crash mid-write can never leave a partial dir that a resume
-    # would mistake for complete. Joined (and re-raised) before the
-    # manifest flips to complete.
+    # wall. It is published with publish_dir (tmp dir + rename), so a
+    # crash mid-write never leaves a partial dir that a resume would
+    # mistake for complete. Joined (and re-raised) before the manifest
+    # flips to complete.
     import concurrent.futures as _cf
     import shutil as _sh
 
     _docmap_pool = _cf.ThreadPoolExecutor(max_workers=1)
     _docmap_future = None
-
-    def _deferred_docmap(write_fn) -> None:
-        tmp = docmap_path + ".tmp"
-        _sh.rmtree(tmp, ignore_errors=True)
-        write_fn(tmp)
-        _sh.rmtree(docmap_path, ignore_errors=True)
-        os.replace(tmp, docmap_path)
 
     # the analyzer's detected-language column must survive every pruned
     # read/checkpoint on the way to the scan (code-review r05 finding)
@@ -387,9 +345,8 @@ def build_index(
             sample_files = _sorted_corpus_files(sample_path)
         ds = rd.read_parquet(_sorted_corpus_files(docmap_path),
                              columns=["doc_id", "conv_id", "text"] + _lang_extra)
-    if write_docmap is not None and not (
-            have_partial and os.path.isdir(docmap_path) and os.listdir(docmap_path)):
-        _docmap_future = _docmap_pool.submit(_deferred_docmap, write_docmap)
+    if write_docmap is not None and not (have_partial and os.path.isdir(docmap_path)):
+        _docmap_future = _docmap_pool.submit(publish_dir, docmap_path, write_docmap)
 
     # --- hot-term pre-pass: tokenize only the deterministic 2% conv
     # sample (pure function of conv_id → identical across batchings,
@@ -436,11 +393,6 @@ def build_index(
         if use_checkpoint:
             pre_src = rd.read_parquet(sample_files, columns=["conv_id", "text"]) if sample_files else None
         elif fast_sorted_files is not None:
-            from hybrid_sanctions_search_engine_ray.stages.analyze import (
-                HOT_SAMPLE_EVERY,
-                emit_term_stats,
-            )
-
             sfiles = fast_sorted_files[::HOT_SAMPLE_EVERY] or fast_sorted_files[:1]
             pre_src = rd.read_parquet(sfiles, columns=["text"]) if sfiles else None
             pre_emit = emit_term_stats  # every row of a sampled file counts
@@ -483,16 +435,15 @@ def build_index(
     done = completed_parts(index_dir) if resume else {}
     done_parts = set(done.keys())
 
-    postings = ds.map_batches(
-        lambda b: emit_postings_with_sentinel(b, cfg, positional=store_positions),
-        batch_format="pyarrow",
-        batch_size=cfg.analyze_batch_size,
-    ).map_batches(lambda b: assign_partitions(b, cfg, hot), batch_format="pyarrow")
-    packed = cfg.shuffle_mode == "packed"
-    if packed:
-        postings = postings.map_batches(
-            pack_postings_by_part, batch_format="pyarrow"
+    postings = (
+        ds.map_batches(
+            lambda b: emit_postings_with_sentinel(b, cfg, positional=store_positions),
+            batch_format="pyarrow",
+            batch_size=cfg.analyze_batch_size,
         )
+        .map_batches(lambda b: assign_partitions(b, cfg, hot), batch_format="pyarrow")
+        .map_batches(pack_postings_by_part, batch_format="pyarrow")
+    )
     if done_parts:
         skip = pa.array(sorted(done_parts), pa.int32())
 
@@ -503,42 +454,19 @@ def build_index(
 
         postings = postings.map_batches(_drop_done, batch_format="pyarrow")
 
-    _builder = build_segment_packed if packed else build_segment
-
-    if fail_after_parts is not None:
+    def seg_fn(g):
         # fault injection (resume test, FIXTURES.md §4): partitions ≥ K
         # crash before writing; the build dies mid-shuffle with the
         # completed partitions already atomically on disk.
-        cut = fail_after_parts
+        if fail_after_parts is not None and int(g["part"].iloc[0]) >= fail_after_parts:
+            raise RuntimeError(f"fault injection at part {int(g['part'].iloc[0])}")
+        return build_segment_packed(g, index_dir, cfg, input_path, hot)
 
-        def _seg_or_fail(g):
-            if int(g["part"].iloc[0]) >= cut:
-                raise RuntimeError(f"fault injection at part {int(g['part'].iloc[0])}")
-            return _builder(g, index_dir, cfg, input_path, hot)
-
-        seg_fn = _seg_or_fail
-    else:
-        seg_fn = lambda g: _builder(g, index_dir, cfg, input_path, hot)  # noqa: E731
-
-    lineage = postings.groupby("part").map_groups(
-        seg_fn,
-        batch_format="pandas",
-    )
-    lineage_rows = lineage.take_all()  # small: one row per partition
-
-    import json as _json
-
-    for r in lineage_rows:
-        manifest.parts[str(int(r["part"]))] = {
-            "n_terms": int(r["n_terms"]),
-            "n_rows": int(r["n_rows"]),
-            "n_postings": int(r["n_postings"]),
-            "elapsed_s": float(r["elapsed_s"]),
-            "hot_terms_present": _json.loads(r["hot_terms_present"]) if "hot_terms_present" in r else [],
-        }
+    # each task publishes its partition record; the output is one
+    # part-number row per partition, fetched only to run the job
+    postings.groupby("part").map_groups(seg_fn, batch_format="pandas").take_all()
     done_meta = completed_parts(index_dir)
-    for p, meta in done_meta.items():
-        manifest.parts.setdefault(str(p), {k: meta[k] for k in ("n_terms", "n_rows", "n_postings", "elapsed_s", "hot_terms_present") if k in meta})
+    manifest.parts = part_summaries(index_dir, manifest.num_partitions)
 
     # exact corpus stats: sentinel partials summed across partition metas
     # (covers both freshly built and resumed-over partitions)
@@ -629,9 +557,6 @@ def write_dictionary(index_dir: str) -> str:
     columns, no corpus scan. Optional: the query path derives df from
     the segment rows it already reads; this artifact serves analytics
     (top-terms, vocabulary exports) and debugging."""
-    import shutil
-
-    import pyarrow.dataset as pads
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -643,6 +568,5 @@ def write_dictionary(index_dir: str) -> str:
         .aggregate(Sum("n_docs", alias_name="df"), Sum("cf", alias_name="cf"))
     )
     dict_path = os.path.join(index_dir, "dictionary.parquet")
-    shutil.rmtree(dict_path, ignore_errors=True)
-    dict_ds.sort("term").write_parquet(dict_path)
+    publish_dir(dict_path, dict_ds.sort("term").write_parquet)
     return dict_path

@@ -18,11 +18,12 @@ index-swap flow, SURVEY.md §2.1 S8):
   posting rows (every row carries ``dl`` — no corpus re-read, no text
   needed) and records the EXACT planned stats correction in
   ``compaction.json`` (atomic write, BEFORE anything is destroyed);
-  (2) one Ray task per partition rewrites its segment without the
-  tombstoned postings (atomic tmp+rename, meta.json refreshed last —
-  the same crash-safety contract as the build; partitions with no
-  affected postings are left untouched); (3) the manifest applies the
-  recorded correction and the tombstone + plan files are removed.
+  (2) one Ray task per partition republishes its segment without the
+  tombstoned postings (``publish_partition``: atomic tmp+rename,
+  meta.json recounted and written last — the same crash-safety contract
+  as the build; partitions with no affected postings are left
+  untouched); (3) the manifest re-reads the partition records, applies
+  the recorded correction, and the tombstone + plan files are removed.
   A crash at any point re-runs safely: the plan file pins the
   correction computed while the evidence still existed, and the
   partition rewrites are idempotent for a fixed tombstone set.
@@ -51,7 +52,11 @@ from hybrid_sanctions_search_engine_ray.functions.codec import (
     encode_posting,
     encode_rows,
 )
-from hybrid_sanctions_search_engine_ray.stages.postings import write_segment
+from hybrid_sanctions_search_engine_ray.stages.postings import (
+    RECORD_KEYS,
+    publish_partition,
+    segment_schema,
+)
 from hybrid_sanctions_search_engine_ray.state.manifest import (
     ANALYZER,
     LAYOUT,
@@ -63,7 +68,11 @@ from hybrid_sanctions_search_engine_ray.state.manifest import (
     completed_parts,
     docmap_columns,
     exact_n_terms,
+    head_crc32,
     identity_diff,
+    part_meta,
+    part_summaries,
+    publish_dir,
     segment_dir,
     segment_file,
 )
@@ -125,27 +134,24 @@ def _scan_part_removed(index_dir: str, part: int, tomb: np.ndarray) -> dict:
 
 
 @ray.remote
-def _compact_part(index_dir: str, part: int, tomb: np.ndarray, positional: bool) -> dict:
+def _compact_part(index_dir: str, part: int, tomb: np.ndarray, positional: bool) -> int:
     """Rewrite one partition's segment without tombstoned postings: one
     decode and one tombstone test for the whole partition, rows left
     empty dropped, one re-encode of what is kept. Untouched rows
     re-encode to their original bytes. Partitions with no tombstoned
-    posting are not rewritten; idempotent for a fixed tombstone set."""
-    sdir = segment_dir(index_dir, part)
-    f = os.path.join(sdir, SEGMENT_FILE)
+    posting are not rewritten; idempotent for a fixed tombstone set.
+    The meta is recounted from the kept rows — ``hot_terms_present``
+    shrinks to the hot terms that kept a posting — and its lineage keys
+    pass through unchanged."""
+    f = segment_file(index_dir, part)
     if not os.path.exists(f):
-        return {"n_terms": 0, "n_rows": 0, "n_postings": 0, "rewritten": False}
+        return part
     tbl = pq.read_table(f)
     n = tbl["n_docs"].to_numpy()
     d, t, l = decode_rows(tbl["docs"], tbl["tfs"], tbl["dls"], n)  # noqa: E741
     keep = ~tombstone_mask(tomb, d)
-    meta_path = os.path.join(sdir, "meta.json")
     if keep.all():
-        meta = json.load(open(meta_path)) if os.path.exists(meta_path) else {}
-        return {
-            "n_terms": meta.get("n_terms", 0), "n_rows": tbl.num_rows,
-            "n_postings": meta.get("n_postings", 0), "rewritten": False,
-        }
+        return part
     kept = np.bincount(np.repeat(np.arange(tbl.num_rows), n)[keep], minlength=tbl.num_rows)
     rows = np.flatnonzero(kept)  # rows that still hold a posting
     n_k = kept[rows]
@@ -174,30 +180,18 @@ def _compact_part(index_dir: str, part: int, tomb: np.ndarray, positional: bool)
         out = pa.Table.from_arrays([cols[c] for c in tbl.column_names], schema=tbl.schema)
     else:
         out = tbl.schema.empty_table()
-
-    nbytes, checksum = write_segment(sdir, out)
-    n_postings = int(n_k.sum())
-    n_terms = len(set(out["term"].to_pylist()))
-    if os.path.exists(meta_path):
-        with open(meta_path) as mf:
-            meta = json.load(mf)
-        meta.update(n_terms=n_terms, n_rows=out.num_rows, n_postings=n_postings,
-                    bytes=nbytes, checksum_head_crc32=checksum)
-        atomic_write_json(meta_path, meta)
-    return {"n_terms": n_terms, "n_rows": out.num_rows,
-            "n_postings": n_postings, "rewritten": True}
+    meta = part_meta(index_dir, part)
+    publish_partition(index_dir, part, out, meta.get("hot_terms_present", ()),
+                      **{k: v for k, v in meta.items() if k not in RECORD_KEYS})
+    return part
 
 
 def _run_plan(index_dir: str, m: IndexManifest, plan: dict) -> IndexManifest:
     tomb = np.array(sorted(plan["tombstones"]), dtype=np.int64)
-    positional = bool(getattr(m, "store_positions", False))
     tomb_ref = ray.put(tomb)
-    parts = sorted(int(k) for k in m.parts)
-    results = ray.get([_compact_part.remote(index_dir, p, tomb_ref, positional) for p in parts])
-    for p, r in zip(parts, results):
-        m.parts[str(p)].update(
-            n_terms=r["n_terms"], n_rows=r["n_rows"], n_postings=r["n_postings"]
-        )
+    ray.get([_compact_part.remote(index_dir, int(p), tomb_ref, m.store_positions)
+             for p in m.parts])
+    m.parts = part_summaries(index_dir, m.num_partitions)
     # ABSOLUTE post-compaction stats (idempotent: a crash between the
     # manifest save and the plan-file removal re-runs the plan on the
     # already-corrected manifest, and assignment cannot double-subtract
@@ -278,22 +272,18 @@ def compact_index(index_dir: str) -> IndexManifest:
 
 @ray.remote
 def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
-                positional: bool, hot_terms: list[str]) -> dict:
+                positional: bool, hot_terms: list[str]) -> int:
     """Merge one term-partition across source indexes into ``out_dir``.
 
     Doc-id remapping: lifting a source into its global id range is one
     batched decode + re-encode of its docs column with the offset added
     (the blob is delta+varint with an absolute first value, so only each
     row's first varint changes). tfs/dls/poss blobs are byte-copied
-    untouched (positions are doc-internal).
-    Atomic write + meta.json last — the same resume contract as build.
+    untouched (positions are doc-internal). Published with
+    ``publish_partition`` — the same resume contract as build; the
+    ``input`` lineage key names the sources for the resume check.
     """
     import time
-
-    from hybrid_sanctions_search_engine_ray.stages.postings import (
-        SEGMENT_SCHEMA,
-        SEGMENT_SCHEMA_POS,
-    )
 
     t0 = time.monotonic()
     tables = []
@@ -310,42 +300,20 @@ def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
         if tbl.num_rows:
             tables.append(tbl)
 
-    sdir = segment_dir(out_dir, part)
-    os.makedirs(sdir, exist_ok=True)
     if tables:
-        merged = pa.concat_tables(tables, promote_options="default")
         # renumber seg_idx per term in source order (sources are appended
         # in ascending doc-id range, so per-term sub-segment order stays
         # doc-id-monotonic — the reader's stable re-sort then never moves
         # bytes between sub-segments)
-        df = merged.to_pandas()
+        df = pa.concat_tables(tables, promote_options="default").to_pandas()
         df["seg_idx"] = df.groupby("term", sort=False).cumcount().astype(np.int32)
         merged = pa.Table.from_pandas(df, preserve_index=False)
-        n_terms = int(df["term"].nunique())
-        n_postings = int(df["n_docs"].sum())
-        terms_set = set(df["term"].tolist())
     else:
-        merged = (SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA).empty_table()
-        n_terms = n_postings = 0
-        terms_set = set()
-
-    nbytes, checksum = write_segment(sdir, merged)
-    meta = {
-        "part": part,
-        "n_terms": n_terms,
-        "n_rows": merged.num_rows,
-        "n_postings": n_postings,
-        "bytes": nbytes,
-        "checksum_head_crc32": checksum,
-        "elapsed_s": round(time.monotonic() - t0, 3),
-        "input": ";".join(d for d, _ in srcs),
-        # hot (salted) terms present here — the only terms that can span
-        # partitions; recorded so the manifest's exact distinct-term count
-        # survives a resume (fresh and resumed parts contribute alike)
-        "hot_terms_present": sorted(t for t in hot_terms if t in terms_set),
-    }
-    atomic_write_json(os.path.join(sdir, "meta.json"), meta)
-    return {"meta": meta, "part": part}
+        merged = segment_schema(positional).empty_table()
+    publish_partition(out_dir, part, merged, hot_terms,
+                      elapsed_s=round(time.monotonic() - t0, 3),
+                      input=";".join(d for d, _ in srcs))
+    return part
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> IndexManifest:
@@ -422,29 +390,20 @@ def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> 
         done = {p: meta for p, meta in done.items()
                 if meta.get("input") == expected_input}
     todo = [p for p in range(m0.num_partitions) if p not in done]
-    results = ray.get(
-        [_merge_part.remote(out_dir, p, srcs, m0.store_positions, out.hot_terms) for p in todo]
-    )
-    parts_meta = {str(p): meta for p, meta in done.items()}
-    for r in results:
-        parts_meta[str(r["part"])] = r["meta"]
+    ray.get([_merge_part.remote(out_dir, p, srcs, m0.store_positions, out.hot_terms)
+             for p in todo])
+    out.parts = part_summaries(out_dir, m0.num_partitions)
     # a non-hot term has the same hash placement in every source, so
     # only hot terms span partitions (meta.json lists them for fresh AND
     # resumed parts alike)
-    out.n_terms = exact_n_terms(parts_meta)
-    out.parts = parts_meta
+    out.n_terms = exact_n_terms(out.parts)
 
     # docmap: stream each source's rows with its offset into the merged
-    # docmap directory (never materialized)
-    dm_out = os.path.join(out_dir, "docmap.parquet")
-    # atomic: write ALL sources into a tmp dir, publish with one rename —
-    # a crash mid-merge can neither leave a partial dir a resume would
-    # trust nor duplicate rows on a fresh re-run (code-review r05
-    # finding; same pattern as build_index's _deferred_docmap).
-    if not (resume and os.path.isdir(dm_out)):
-        dm_tmp = dm_out + ".tmp"
-        shutil.rmtree(dm_tmp, ignore_errors=True)
-        for i, (d, off) in enumerate(srcs):
+    # docmap directory (never materialized), published in one rename — a
+    # crash mid-merge can neither leave a partial dir a resume would
+    # trust nor duplicate rows on a fresh re-run
+    def write_docmap(tmp: str) -> None:
+        for d, off in srcs:
             ds = rd.read_parquet(os.path.join(d, "docmap.parquet"), columns=docmap_cols)
             if off:
                 ds = ds.map_batches(
@@ -455,9 +414,11 @@ def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> 
                     ),
                     batch_format="pyarrow",
                 )
-            ds.write_parquet(dm_tmp)
-        shutil.rmtree(dm_out, ignore_errors=True)
-        os.replace(dm_tmp, dm_out)
+            ds.write_parquet(tmp)
+
+    dm_out = os.path.join(out_dir, "docmap.parquet")
+    if not (resume and os.path.isdir(dm_out)):
+        publish_dir(dm_out, write_docmap)
 
     out.status = "complete"
     out.save(out_dir)
@@ -500,64 +461,41 @@ def ingest_delta(main_index: str, delta_transcripts_ds, out_dir: str,
 
 
 def _repart_write_group(g, out_dir: str, positional: bool, hot_terms: list[str],
-                        new_partitions: int, source: str) -> "pd.DataFrame":
+                        layout: dict) -> "pd.DataFrame":
     """Write one NEW term-partition from re-bucketed segment rows.
 
     Rows arrive with their (old_part, seg_idx) provenance; they are
     ordered by (term, old_part, seg_idx) and seg_idx renumbered per term
     — the reader re-sorts decoded doc ids anyway (stable argsort in
     load_postings), so any deterministic sub-segment order is
-    query-identical. Atomic write + meta.json last (build's resume
-    contract); if meta.json already exists the partition is complete
-    from a previous run and is returned as-is (resume)."""
+    query-identical. Published with ``publish_partition`` (build's resume
+    contract); if a meta already exists the partition is complete from a
+    previous run of the same ``layout`` and is kept as-is (resume)."""
     import time
 
     import pandas as pd
 
-    from hybrid_sanctions_search_engine_ray.stages.postings import (
-        SEGMENT_SCHEMA,
-        SEGMENT_SCHEMA_POS,
-    )
-
     t0 = time.monotonic()
     part = int(g["new_part"].iloc[0])
-    sdir = segment_dir(out_dir, part)
-    meta_path = os.path.join(sdir, "meta.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
+    meta = part_meta(out_dir, part)
+    if meta:
         # resume is only valid for the SAME layout and source — a stale
         # meta from a different repartition run would silently drop this
         # group's terms (the rows would never be written)
-        if meta.get("layout") != {"num_partitions": new_partitions, "source": source}:
+        if meta.get("layout") != layout:
             raise ValueError(
-                f"{meta_path} is from a different repartition run "
-                "(layout/source mismatch) — use a fresh --out directory"
+                f"{segment_dir(out_dir, part)}/meta.json is from a different repartition "
+                "run (layout/source mismatch) — use a fresh --out directory"
             )
-        return pd.DataFrame({"part": [part], "meta": [json.dumps(meta)]})
-    os.makedirs(sdir, exist_ok=True)
+        return pd.DataFrame({"part": [part]})
     g = g.sort_values(["term", "old_part", "seg_idx"], kind="mergesort").reset_index(drop=True)
     g["seg_idx"] = g.groupby("term", sort=False).cumcount().astype(np.int32)
-    cols = [f.name for f in (SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA)]
-    tbl = pa.Table.from_pandas(g[cols], preserve_index=False).cast(
-        SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA
-    )
-    nbytes, checksum = write_segment(sdir, tbl)
-    terms_set = set(g["term"].tolist())
-    meta = {
-        "part": part,
-        "n_terms": int(g["term"].nunique()),
-        "n_rows": int(len(g)),
-        "n_postings": int(g["n_docs"].sum()),
-        "bytes": nbytes,
-        "checksum_head_crc32": checksum,
-        "elapsed_s": round(time.monotonic() - t0, 3),
-        "input": "repartition",
-        "layout": {"num_partitions": new_partitions, "source": source},
-        "hot_terms_present": sorted(t for t in hot_terms if t in terms_set),
-    }
-    atomic_write_json(meta_path, meta)
-    return pd.DataFrame({"part": [part], "meta": [json.dumps(meta)]})
+    schema = segment_schema(positional)
+    tbl = pa.Table.from_pandas(g[schema.names], preserve_index=False).cast(schema)
+    publish_partition(out_dir, part, tbl, hot_terms,
+                      elapsed_s=round(time.monotonic() - t0, 3),
+                      input="repartition", layout=layout)
+    return pd.DataFrame({"part": [part]})
 
 
 def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> IndexManifest:
@@ -577,7 +515,7 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
     Cost shape: ONE all-to-all over the segment bytes (≈ index size,
     an order of magnitude under corpus bytes) via groupby(new_part);
     the docmap streams through unchanged; one Ray Data job, resumable
-    per partition (meta.json presence).
+    per partition (meta.json presence) and for the docmap (its presence).
 
     Trade-off: a hot (salted) term's sub-segments COLOCATE in its base
     partition afterwards — query-side pruning actually improves (one
@@ -587,10 +525,6 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
     import ray.data as rd
 
     from hybrid_sanctions_search_engine_ray.functions.hashing import hash_string_array
-    from hybrid_sanctions_search_engine_ray.stages.postings import (
-        SEGMENT_SCHEMA,
-        SEGMENT_SCHEMA_POS,
-    )
 
     m = IndexManifest.load(index_dir)
     if m.status != "complete":
@@ -621,48 +555,61 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
         )
 
     os.makedirs(out_dir, exist_ok=True)
-    lineage = (
+    layout = {"num_partitions": new_partitions, "source": index_dir}
+    written = set(
         ds.map_batches(bucket, batch_format="pyarrow")
         .groupby("new_part")
         .map_groups(
-            lambda g: _repart_write_group(g, out_dir, m.store_positions, m.hot_terms,
-                                          new_partitions, index_dir),
+            lambda g: _repart_write_group(g, out_dir, m.store_positions, m.hot_terms, layout),
             batch_format="pandas",
         )
-        .to_pandas()
+        .to_pandas()["part"]
     )
-    parts_meta = {str(int(r["part"])): json.loads(r["meta"]) for _, r in lineage.iterrows()}
     # partitions no term hashed to get an explicit empty segment (resume
-    # and lineage treat every partition uniformly)
-    schema = SEGMENT_SCHEMA_POS if m.store_positions else SEGMENT_SCHEMA
-    for p in range(new_partitions):
-        if str(p) not in parts_meta:
-            sdir = segment_dir(out_dir, p)
-            os.makedirs(sdir, exist_ok=True)
-            final = os.path.join(sdir, SEGMENT_FILE)
-            if not os.path.exists(final):
-                pq.write_table(schema.empty_table(), final)
-            meta = {"part": p, "n_terms": 0, "n_rows": 0, "n_postings": 0,
-                    "bytes": os.path.getsize(final), "checksum_head_crc32": 0,
-                    "elapsed_s": 0.0, "input": "repartition",
-                    "layout": {"num_partitions": new_partitions, "source": index_dir},
-                    "hot_terms_present": []}
-            atomic_write_json(os.path.join(sdir, "meta.json"), meta)
-            parts_meta[str(p)] = meta
+    # and lineage treat every partition uniformly); republished on every
+    # run, so a re-run never trusts a half-written one
+    for p in set(range(new_partitions)) - written:
+        publish_partition(out_dir, p, segment_schema(m.store_positions).empty_table(),
+                          elapsed_s=0.0, input="repartition", layout=layout)
 
+    parts = part_summaries(out_dir, new_partitions)
     out = dataclasses.replace(
-        m, version=MANIFEST_VERSION, status="building", parts=parts_meta,
-        n_terms=exact_n_terms(parts_meta), hot_terms=list(m.hot_terms),
+        m, version=MANIFEST_VERSION, status="building", parts=parts,
+        n_terms=exact_n_terms(parts), hot_terms=list(m.hot_terms),
         num_partitions=new_partitions, input_path=index_dir,
     )
 
     dm_out = os.path.join(out_dir, "docmap.parquet")
-    if not (os.path.isdir(dm_out) and os.listdir(dm_out)):
-        rd.read_parquet(os.path.join(index_dir, "docmap.parquet")).write_parquet(dm_out)
+    if not os.path.isdir(dm_out):
+        publish_dir(dm_out, rd.read_parquet(os.path.join(index_dir, "docmap.parquet")).write_parquet)
 
     out.status = "complete"
     out.save(out_dir)
     return out
+
+
+def _copy_verified_parts(src_dir: str, dst_dir: str, num_partitions: int,
+                         corrupt: str) -> list[int]:
+    """Copy each partition's segment and meta.json (meta last) from
+    ``src_dir`` to ``dst_dir``, first checking the segment's first-MiB
+    crc32 against its meta. A checksum of 0 (empty partitions of older
+    indexes) or none is exempt. ``corrupt`` is the refusal message,
+    formatted with the partition as ``p``. Returns the copied parts."""
+    copied = []
+    for p in range(num_partitions):
+        f = segment_file(src_dir, p)
+        if not os.path.exists(f):
+            continue
+        expected = part_meta(src_dir, p).get("checksum_head_crc32")
+        if expected not in (None, 0) and expected != head_crc32(f):
+            raise ValueError(corrupt.format(p=p))
+        dst = segment_dir(dst_dir, p)
+        os.makedirs(dst, exist_ok=True)
+        shutil.copy2(f, os.path.join(dst, SEGMENT_FILE))
+        shutil.copy2(os.path.join(segment_dir(src_dir, p), "meta.json"),
+                     os.path.join(dst, "meta.json"))
+        copied.append(p)
+    return copied
 
 
 def snapshot_index(index_dir: str, snap_dir: str) -> dict:
@@ -673,43 +620,17 @@ def snapshot_index(index_dir: str, snap_dir: str) -> dict:
     store); ``snapshot.json`` records source + verification results and
     is written LAST (same presence-implies-complete contract as build
     metas). Returns the snapshot record."""
-    import shutil
-    import zlib
-
     m = IndexManifest.load(index_dir)
     if m.status != "complete":
         raise ValueError("only complete indexes can be snapshotted")
     os.makedirs(snap_dir, exist_ok=True)
-    verified = []
-    for p in range(m.num_partitions):
-        src = segment_dir(index_dir, p)
-        f = os.path.join(src, SEGMENT_FILE)
-        meta_f = os.path.join(src, "meta.json")
-        if not os.path.exists(f):
-            continue
-        with open(meta_f) as fh:
-            meta = json.load(fh)
-        with open(f, "rb") as fh:
-            crc = zlib.crc32(fh.read(1 << 20))
-        # empty partitions record checksum 0 (no payload to fingerprint) —
-        # exempt from verification, like a missing checksum field
-        expected = meta.get("checksum_head_crc32")
-        if expected not in (None, 0) and expected != crc:
-            raise ValueError(f"partition {p} checksum mismatch — refusing to snapshot corruption")
-        dst = segment_dir(snap_dir, p)
-        os.makedirs(dst, exist_ok=True)
-        shutil.copy2(f, os.path.join(dst, SEGMENT_FILE))
-        shutil.copy2(meta_f, os.path.join(dst, "meta.json"))
-        verified.append(p)
+    verified = _copy_verified_parts(
+        index_dir, snap_dir, m.num_partitions,
+        "partition {p} checksum mismatch — refusing to snapshot corruption")
     dm_src = os.path.join(index_dir, "docmap.parquet")
     dm_dst = os.path.join(snap_dir, "docmap.parquet")
     if os.path.isdir(dm_src) and not os.path.isdir(dm_dst):
-        # copy to tmp + rename: a crash mid-copytree must not leave a
-        # partial dir a re-run would trust as complete (code-review r05)
-        dm_tmp = dm_dst + ".tmp"
-        shutil.rmtree(dm_tmp, ignore_errors=True)
-        shutil.copytree(dm_src, dm_tmp)
-        os.replace(dm_tmp, dm_dst)
+        publish_dir(dm_dst, dm_src)
     tomb = os.path.join(index_dir, "tombstones.json")
     if os.path.exists(tomb):
         shutil.copy2(tomb, os.path.join(snap_dir, "tombstones.json"))
@@ -723,32 +644,15 @@ def restore_index(snap_dir: str, out_dir: str) -> IndexManifest:
     """Restore a snapshot into a fresh index dir, re-verifying each
     partition's checksum against its meta.json (bit-rot in the backup
     store surfaces HERE, before the index goes live)."""
-    import shutil
-    import zlib
-
     if not os.path.exists(os.path.join(snap_dir, "snapshot.json")):
         raise ValueError("not a complete snapshot (snapshot.json missing)")
     m = IndexManifest.load(snap_dir)
     os.makedirs(out_dir, exist_ok=True)
-    for p in range(m.num_partitions):
-        src = segment_dir(snap_dir, p)
-        f = os.path.join(src, SEGMENT_FILE)
-        if not os.path.exists(f):
-            continue
-        with open(os.path.join(src, "meta.json")) as fh:
-            meta = json.load(fh)
-        with open(f, "rb") as fh:
-            crc = zlib.crc32(fh.read(1 << 20))
-        expected = meta.get("checksum_head_crc32")
-        if expected not in (None, 0) and expected != crc:
-            raise ValueError(f"snapshot partition {p} is corrupt — aborting restore")
-        dst = segment_dir(out_dir, p)
-        os.makedirs(dst, exist_ok=True)
-        shutil.copy2(f, os.path.join(dst, SEGMENT_FILE))
-        shutil.copy2(os.path.join(src, "meta.json"), os.path.join(dst, "meta.json"))
+    _copy_verified_parts(snap_dir, out_dir, m.num_partitions,
+                         "snapshot partition {p} is corrupt — aborting restore")
     if os.path.isdir(os.path.join(snap_dir, "docmap.parquet")):
-        shutil.copytree(os.path.join(snap_dir, "docmap.parquet"),
-                        os.path.join(out_dir, "docmap.parquet"), dirs_exist_ok=True)
+        publish_dir(os.path.join(out_dir, "docmap.parquet"),
+                    os.path.join(snap_dir, "docmap.parquet"))
     if os.path.exists(os.path.join(snap_dir, "tombstones.json")):
         shutil.copy2(os.path.join(snap_dir, "tombstones.json"),
                      os.path.join(out_dir, "tombstones.json"))
@@ -963,14 +867,8 @@ def snapshot_diff(snap_a: str, snap_b: str) -> "pd.DataFrame":
     import pandas as pd
 
     def metas(snap: str) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        m = IndexManifest.load(snap)
-        for p in range(m.num_partitions):
-            f = os.path.join(segment_dir(snap, p), "meta.json")
-            if os.path.exists(f):
-                with open(f) as fh:
-                    out[p] = json.load(fh)
-        return out
+        n = IndexManifest.load(snap).num_partitions
+        return {p: meta for p in range(n) if (meta := part_meta(snap, p))}
 
     ma, mb = metas(snap_a), metas(snap_b)
     rows = []
@@ -993,25 +891,18 @@ def snapshot_diff(snap_a: str, snap_b: str) -> "pd.DataFrame":
 
 
 @ray.remote
-def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> dict:
+def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> int:
     """Rewrite one partition keeping each term's ``top_n``
     highest-impact postings (tf desc, doc_id asc tie-break); lists
     already within the budget are copied as zero-copy row slices."""
     src = segment_file(index_dir, part)
-    sdir = segment_dir(out_dir, part)
-    os.makedirs(sdir, exist_ok=True)
     if not os.path.exists(src):
-        return {"part": part, "n_terms": 0, "n_rows": 0, "n_postings": 0}
+        return part
     # resume: a finished part records its top_n in meta.json (written
     # AFTER the data file — presence implies a complete part)
-    meta_path = os.path.join(sdir, "meta.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as mf:
-            meta = json.load(mf)
-        if meta.get("pruned_top_n") == top_n and \
-                os.path.exists(os.path.join(sdir, SEGMENT_FILE)):
-            return {"part": part, "n_terms": meta["n_terms"],
-                    "n_rows": meta["n_rows"], "n_postings": meta["n_postings"]}
+    if part_meta(out_dir, part).get("pruned_top_n") == top_n and \
+            os.path.exists(segment_file(out_dir, part)):
+        return part
     tbl = pq.read_table(src)
     pieces: list[pa.Table] = []
     rebuilt: dict[str, list] = {c: [] for c in tbl.column_names}
@@ -1048,16 +939,8 @@ def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> dict:
         rebuilt = {c: [] for c in tbl.column_names}
     _flush_clean(tbl.num_rows)
     out = pa.concat_tables(pieces) if pieces else tbl.schema.empty_table()
-    nbytes, crc = write_segment(sdir, out)
-    n_postings = int(out["n_docs"].to_numpy(zero_copy_only=False).sum()) if out.num_rows else 0
-    n_terms = len(set(out["term"].to_pylist()))
-    atomic_write_json(os.path.join(sdir, "meta.json"),
-                      {"n_terms": n_terms, "n_rows": out.num_rows,
-                       "n_postings": n_postings, "bytes": nbytes,
-                       "checksum_head_crc32": crc,
-                       "pruned_top_n": top_n, "input": src})
-    return {"part": part, "n_terms": n_terms, "n_rows": out.num_rows,
-            "n_postings": n_postings}
+    publish_partition(out_dir, part, out, pruned_top_n=top_n, input=src)
+    return part
 
 
 def static_prune_index(index_dir: str, out_dir: str, top_n: int) -> IndexManifest:
@@ -1094,13 +977,12 @@ def static_prune_index(index_dir: str, out_dir: str, top_n: int) -> IndexManifes
     dm_src = os.path.join(index_dir, "docmap.parquet")
     dm_dst = os.path.join(out_dir, "docmap.parquet")
     if os.path.isdir(dm_src) and not os.path.isdir(dm_dst):
-        shutil.copytree(dm_src, dm_dst)
+        publish_dir(dm_dst, dm_src)
     tomb = os.path.join(index_dir, "tombstones.json")
     if os.path.exists(tomb):
         shutil.copy2(tomb, os.path.join(out_dir, "tombstones.json"))
-    stats = ray.get([_prune_part.remote(index_dir, out_dir, p, top_n)
-                     for p in range(m.num_partitions)])
-    m.parts = {str(s["part"]): {k: s[k] for k in ("n_terms", "n_rows", "n_postings")}
-               for s in stats if s["n_rows"] or str(s["part"]) in m.parts}
+    ray.get([_prune_part.remote(index_dir, out_dir, p, top_n)
+             for p in range(m.num_partitions)])
+    m.parts = part_summaries(out_dir, m.num_partitions)
     m.save(out_dir)
     return m

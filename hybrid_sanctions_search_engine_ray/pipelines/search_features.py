@@ -54,7 +54,11 @@ from hybrid_sanctions_search_engine_ray.pipelines.query import (
     map_scorer,
 )
 from hybrid_sanctions_search_engine_ray.stages.analyze import DOC_SENTINEL
-from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE
+from hybrid_sanctions_search_engine_ray.state.manifest import (
+    ANALYZER,
+    SEGMENT_FILE,
+    identity_diff,
+)
 
 def _load_shared_terms(readers: list[IndexReader], rows: list[dict]) -> None:
     """Preload for same-analyzer field readers: the batch's terms,
@@ -988,6 +992,17 @@ def terms_set_search(queries_ds, index_dir: str, field_key: str = "turn_idx",
     return map_scorer(queries_ds, TermsSetScorer, cfg, index_dir, field_key, cfg.top_k)
 
 
+def _require_one_analyzer(readers: list, what: str) -> None:
+    """Refuse field indexes whose analyzers differ in any manifest
+    ANALYZER field: the query is analyzed once, by the first field's
+    analyzer, for every field."""
+    diffs = [d for r in readers[1:]
+             for d in identity_diff(readers[0].manifest, r.manifest, ANALYZER,
+                                    labels=("first", "field"))]
+    if diffs:
+        raise ValueError(f"{what} requires one analyzer group: " + "; ".join(diffs))
+
+
 class CrossFieldsScorer(Scorer):
     """ES ``multi_match`` type=``cross_fields``: TERM-centric — each
     query term looks for its best field (dis_max per term, default
@@ -1006,10 +1021,7 @@ class CrossFieldsScorer(Scorer):
         if len(field_dirs) != len(boosts):
             raise ValueError("field_dirs and boosts must align")
         self.readers = [IndexReader(d) for d in field_dirs]
-        modes = {r.manifest.analyzer_mode for r in self.readers}
-        if len(modes) > 1:
-            raise ValueError(
-                f"cross_fields requires one analyzer group, got {sorted(modes)}")
+        _require_one_analyzer(self.readers, "cross_fields")
         self.boosts = [float(b) for b in boosts]
         self.tie_breaker = float(tie_breaker)
         self.default_top_k = default_top_k
@@ -1098,10 +1110,7 @@ class CombinedFieldsScorer(Scorer):
         if any(w < 1.0 for w in weights):
             raise ValueError("combined_fields weights must be >= 1.0 (the ES rule)")
         self.readers = [IndexReader(d) for d in field_dirs]
-        modes = {r.manifest.analyzer_mode for r in self.readers}
-        if len(modes) > 1:
-            raise ValueError(
-                f"combined_fields requires one analyzer group, got {sorted(modes)}")
+        _require_one_analyzer(self.readers, "combined_fields")
         self.weights = [float(w) for w in weights]
         ids_parts: list[np.ndarray] = []
         dl_parts: list[np.ndarray] = []

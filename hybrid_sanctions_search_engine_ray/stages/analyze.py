@@ -701,10 +701,11 @@ def emit_term_stats(batch: pa.Table, cfg: EngineConfig) -> pa.Table:
     """text batch → per-term partial stats rows (term, df_p, cf_p) plus one
     sentinel row carrying (n_docs_with_tokens, total_tokens) for the batch.
 
-    Globally: groupby(term).sum gives exact df/cf per term (the term
-    dictionary), the sentinel sums give N and Σdl — corpus stats and
-    skew detection from ONE pass + one vocabulary-sized shuffle
-    (SURVEY.md §2.5 G4; the pre-aggregation pattern).
+    Summed per term, ``df_p``/``cf_p`` give df/cf over the rows seen, and
+    the sentinel sums give N and Σdl (SURVEY.md §2.5 G4; the
+    pre-aggregation pattern). ``build_index``'s hot-term pre-pass on
+    already-sorted shard files sums ``df_p`` over every row of the
+    sampled files.
     """
     parent, terms = flat_terms(batch, cfg.analyzer)
     if len(terms) == 0:

@@ -13,10 +13,11 @@ The segment builder is ``groupby("part").map_groups``: one task per
 partition sorts its rows by (term, doc_id), delta+varint-encodes the
 whole partition in one batched pass (``codec.encode_rows``; each term
 run is split into sub-segment rows at ``max_postings_per_segment``), folds
-sentinel stat rows into the partition meta, and writes
-``segments/part=K/postings.parquet`` atomically followed by a
-``meta.json`` lineage record — the unit of resume. Block maxima are
-computed by the reader at load time against current global stats.
+sentinel stat rows into the partition meta, and hands the table to
+:func:`publish_partition` — the one writer of the partition record
+(segment file + ``meta.json``, the unit of resume) for build and every
+maintenance path. Block maxima are computed by the reader at load time
+against current global stats.
 """
 
 from __future__ import annotations
@@ -24,19 +25,20 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-import zlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from hybrid_sanctions_search_engine_ray.config import EngineConfig
-from hybrid_sanctions_search_engine_ray.functions.codec import encode_rows
-from hybrid_sanctions_search_engine_ray.functions.hashing import hash_string_array
+from hybrid_sanctions_search_engine_ray.functions.codec import encode_positions, encode_rows
+from hybrid_sanctions_search_engine_ray.functions.hashing import factorize_exact, hash_string_array
 from hybrid_sanctions_search_engine_ray.state.manifest import (
     SEGMENT_FILE,
     atomic_write_json,
+    head_crc32,
     segment_dir,
 )
 
@@ -60,12 +62,29 @@ SEGMENT_SCHEMA_POS = SEGMENT_SCHEMA.append(pa.field("poss", pa.binary()))
 # TermPosting) — which is also what makes federated scoring exact.
 
 
-def write_segment(sdir: str, table: pa.Table) -> tuple[int, int]:
-    """Atomically publish ``table`` as ``sdir/postings.parquet`` (tmp file
-    in the same directory, then rename) → ``(bytes, checksum)``, where
-    the checksum is the crc32 of the file's first MiB — a cheap integrity
-    fingerprint that snapshot/restore verify. Every segment writer
-    (build, compaction, merge, repartition, pruning) goes through here."""
+def segment_schema(positional: bool) -> pa.Schema:
+    return SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA
+
+
+# the partition-record keys publish_partition derives from the table;
+# everything else in a meta.json is the writer's lineage
+RECORD_KEYS = ("part", "n_terms", "n_rows", "n_postings", "bytes",
+               "checksum_head_crc32", "hot_terms_present")
+
+
+def publish_partition(index_dir: str, part: int, table: pa.Table,
+                      hot_terms=(), **lineage) -> dict:
+    """Publish one partition record and return its meta — the only
+    writer of ``segments/part=K/{postings.parquet, meta.json}`` (build,
+    compaction, merge, repartition, pruning).
+
+    The segment is written to a tmp file in the same directory and
+    renamed over ``postings.parquet``; the meta's counts, byte size,
+    first-MiB crc32 and ``hot_terms_present`` are derived from ``table``,
+    the caller's ``lineage`` keys are added, and ``meta.json`` lands
+    LAST — its presence implies a complete segment."""
+    sdir = segment_dir(index_dir, part)
+    os.makedirs(sdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=sdir, suffix=".parquet.tmp")
     os.close(fd)
     # 4096 rows per row group: a partition holds a few hundred term rows
@@ -74,9 +93,25 @@ def write_segment(sdir: str, table: pa.Table) -> tuple[int, int]:
     pq.write_table(table, tmp, row_group_size=4096)
     final = os.path.join(sdir, SEGMENT_FILE)
     os.replace(tmp, final)
-    with open(final, "rb") as f:
-        checksum = zlib.crc32(f.read(1 << 20))
-    return os.path.getsize(final), checksum
+    terms = pc.unique(table["term"])
+    # hot (salted) terms present here — the only terms that can span
+    # partitions; recorded so the manifest's distinct-term count is
+    # EXACT (exact_n_terms). Tested against the UNIQUE term set, never
+    # the row-level term array — a row-level set() costs minutes at
+    # 10^8-posting scale.
+    hot = pa.array(sorted(hot_terms), terms.type)
+    meta = {
+        "part": part,
+        "n_terms": len(terms),
+        "n_rows": table.num_rows,
+        "n_postings": int(pc.sum(table["n_docs"]).as_py() or 0),
+        "bytes": os.path.getsize(final),
+        "checksum_head_crc32": head_crc32(final),
+        **lineage,
+        "hot_terms_present": sorted(terms.filter(pc.is_in(terms, value_set=hot)).to_pylist()),
+    }
+    atomic_write_json(os.path.join(sdir, "meta.json"), meta)
+    return meta
 
 
 def assign_partitions(batch: pa.Table, cfg: EngineConfig, hot_terms: frozenset[str]) -> pa.Table:
@@ -153,13 +188,11 @@ def build_segment(
     input_path: str,
     hot_terms: frozenset[str] = frozenset(),
 ) -> pd.DataFrame:
-    """Encode and atomically write one term-partition. Returns a one-row
-    lineage DataFrame (the build pipeline's output dataset is the
-    lineage table, not the bulk data — which lives on disk)."""
+    """Encode and publish one term-partition. Returns a one-row frame
+    holding its part number (the build's output dataset only marks the
+    work done; the manifest reads the partition records back from disk)."""
     t0 = time.monotonic()
     part = int(group["part"].iloc[0])
-    sdir = segment_dir(index_dir, part)
-    os.makedirs(sdir, exist_ok=True)
 
     # fold sentinel stat rows (doc_id = -1) into this partition's meta —
     # the streaming path for exact corpus stats (N, Σdl)
@@ -170,39 +203,23 @@ def build_segment(
         group = group.loc[~sent_mask]
 
     positional = "pos" in group.columns
-    if len(group) == 0:
-        # partition held only sentinel rows: publish an empty segment so
-        # resume sees the partition as complete, carry the stats
-        nbytes, _ = write_segment(
-            sdir, (SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA).empty_table())
-        atomic_write_json(
-            os.path.join(sdir, "meta.json"),
-            {
-                "part": part, "n_terms": 0, "n_rows": 0, "n_postings": 0,
-                "bytes": nbytes,
-                "checksum_head_crc32": 0,
-                "elapsed_s": round(time.monotonic() - t0, 3),
-                "n_docs_partial": n_docs_partial,
-                "tokens_partial": tokens_partial,
-                "input": input_path,
-                "hot_terms_present": [],
-            },
-        )
-        return pd.DataFrame(
-            {
-                "part": [part], "n_terms": [0], "n_rows": [0], "n_postings": [0],
-                "n_docs_partial": [n_docs_partial], "tokens_partial": [tokens_partial],
-                "elapsed_s": [round(time.monotonic() - t0, 3)],
-                "hot_terms_present": ["[]"],
-            }
-        )
+    # a partition that held only sentinel rows still publishes an (empty)
+    # segment, so resume sees it as complete and its stats are kept
+    table = (_encode_partition(group, cfg.max_postings_per_segment, positional)
+             if len(group) else segment_schema(positional).empty_table())
+    publish_partition(index_dir, part, table, hot_terms,
+                      elapsed_s=round(time.monotonic() - t0, 3),
+                      n_docs_partial=n_docs_partial, tokens_partial=tokens_partial,
+                      input=input_path)
+    return pd.DataFrame({"part": [part]})
 
+
+def _encode_partition(group: pd.DataFrame, cap: int, positional: bool) -> pa.Table:
+    """One partition's posting rows → its segment table."""
     # (term, doc_id) sort without row-level string comparisons: factorize,
     # rank the (small) unique-term set lexicographically, lexsort on codes
     # — ~2× faster than a pandas object-dtype sort at 500k+ rows/part
     raw_terms = group["term"].to_numpy()
-    from hybrid_sanctions_search_engine_ray.functions.hashing import factorize_exact
-
     codes, uniques = factorize_exact(raw_terms)
     rank = np.empty(len(uniques), dtype=np.int64)
     rank[np.argsort(uniques)] = np.arange(len(uniques))
@@ -212,11 +229,10 @@ def build_segment(
     tfs = group["tf"].to_numpy()[order].astype(np.int64)
     dls = group["dl"].to_numpy()[order].astype(np.int64)
 
-    # term runs, each split into sub-segments of at most
-    # max_postings_per_segment postings; every sub-segment is one row
+    # term runs, each split into sub-segments of at most ``cap``
+    # postings; every sub-segment is one row
     run_starts = np.concatenate(([0], np.flatnonzero(terms[1:] != terms[:-1]) + 1))
     run_ends = np.append(run_starts[1:], len(terms))
-    cap = cfg.max_postings_per_segment
     n_segs = (run_ends - run_starts + cap - 1) // cap
     seg_idx = np.arange(int(n_segs.sum())) - np.repeat(np.cumsum(n_segs) - n_segs, n_segs)
     row_starts = np.repeat(run_starts, n_segs) + seg_idx * cap
@@ -234,8 +250,6 @@ def build_segment(
     }
     if positional:
         # positions stay coded per row (no workload is bound by them)
-        from hybrid_sanctions_search_engine_ray.functions.codec import encode_positions
-
         pos_arrays = group["pos"].to_numpy()[order]
         data["poss"] = pa.array(
             [
@@ -247,44 +261,4 @@ def build_segment(
             ],
             pa.binary(),
         )
-    table = pa.table(data)
-    nbytes, checksum = write_segment(sdir, table)
-    # hot (salted) terms present here — the only terms that can span
-    # partitions; recorded so the manifest's distinct-term count is
-    # EXACT (same correction rule as merge_indexes / repartition_index).
-    # Membership is checked against the (already-computed) UNIQUE term
-    # set, never the row-level term array — a row-level set() here costs
-    # minutes at 10^8-posting scale.
-    hot_present = (
-        sorted(hot_terms.intersection(uniques.tolist())) if hot_terms else []
-    )
-    atomic_write_json(
-        os.path.join(sdir, "meta.json"),
-        {
-            "part": part,
-            "n_terms": int(len(run_starts)),
-            "n_rows": table.num_rows,
-            "n_postings": len(terms),
-            "bytes": nbytes,
-            "checksum_head_crc32": checksum,
-            "elapsed_s": round(time.monotonic() - t0, 3),
-            "n_docs_partial": n_docs_partial,
-            "tokens_partial": tokens_partial,
-            "input": input_path,
-            "hot_terms_present": hot_present,
-        },
-    )
-    import json as _json
-
-    return pd.DataFrame(
-        {
-            "part": [part],
-            "n_terms": [len(run_starts)],
-            "n_rows": [table.num_rows],
-            "n_postings": [len(terms)],
-            "n_docs_partial": [n_docs_partial],
-            "tokens_partial": [tokens_partial],
-            "elapsed_s": [round(time.monotonic() - t0, 3)],
-            "hot_terms_present": [_json.dumps(hot_present)],
-        }
-    )
+    return pa.table(data)

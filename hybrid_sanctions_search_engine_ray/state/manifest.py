@@ -1,21 +1,37 @@
 """Index manifest: checkpoint / resume / lineage state.
 
-Layout on disk (all writes atomic: temp file + ``os.replace``, manifest
-finalized last — mirroring the reference's atomic snapshot-swap
-semantics, reference: src/ai_service/layers/embeddings/indexing/
-watchlist_index_service.py:319-457)::
+Layout on disk (manifest finalized last — mirroring the reference's
+atomic snapshot-swap semantics, reference: src/ai_service/layers/
+embeddings/indexing/watchlist_index_service.py:319-457)::
 
     index_dir/
       manifest.json                  # finalized build: params + stats + lineage
-      dictionary.parquet/            # term → df, cf  (the vocabulary)
+      dictionary.parquet/            # term → df, cf  (optional: write_dictionary)
       docmap.parquet/                # doc_id → conv_id, turn_idx
       segments/part=K/postings.parquet   # encoded posting lists
-      segments/part=K/meta.json          # per-partition lineage (written LAST —
-                                         # its presence implies the data file is complete)
+      segments/part=K/meta.json          # the partition record
 
-A build is resumable because each partition's segment file + meta.json
-land atomically and independently; a re-run scans ``segments/*/meta.json``
-and skips completed partitions (FIXTURES.md §4 semantics).
+The partition record is the unit of resume. ``stages/postings.
+publish_partition`` is its only writer: it replaces ``postings.parquet``
+atomically, derives every count from the table it wrote, and writes
+``meta.json`` LAST, so a meta's presence implies a complete segment. Its
+keys: ``part``, ``n_terms`` (distinct terms), ``n_rows``, ``n_postings``
+(Σ n_docs), ``bytes``, ``checksum_head_crc32`` (crc32 of the file's
+first MiB), ``hot_terms_present`` (the salted hot terms it holds — the
+only terms that can span partitions), plus the writer's lineage keys
+(build: ``elapsed_s``, ``n_docs_partial``, ``tokens_partial``,
+``input``; merge ``input``; repartition ``layout``; pruning
+``pruned_top_n``). :func:`part_summaries` is its only reader into the
+manifest: ``manifest.parts`` holds the :data:`PART_SUMMARY` keys of each
+completed meta, read back from disk. A re-run scans the metas and skips
+completed partitions (FIXTURES.md §4 semantics).
+
+Every docmap (built, merged, repartitioned or copied) is published by
+:func:`publish_dir`: written into ``docmap.parquet.tmp``, then renamed
+over any old one, so an existing ``docmap.parquet`` is always complete
+and a resume only checks that it exists. The one exception is the
+build's sorted corpus checkpoint, written in place and completed by its
+``_COMPLETE.json``.
 
 Index identity — the manifest fields two builds must share for resume,
 merge and federation to be exact — is three groups, compared with
@@ -32,7 +48,9 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
+import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any
@@ -53,9 +71,20 @@ def atomic_write_json(path: str, obj: Any) -> None:
         raise
 
 
-def atomic_publish_file(tmp_path: str, final_path: str) -> None:
-    os.makedirs(os.path.dirname(final_path), exist_ok=True)
-    os.replace(tmp_path, final_path)
+def publish_dir(final: str, write) -> None:
+    """Publish the directory ``final`` atomically. ``write`` fills
+    ``final + ".tmp"``: a callable is given that path, a string names a
+    directory to copy there. Any old ``final`` is then removed and the
+    tmp renamed over it, so an existing ``final`` is always complete."""
+    tmp = final + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    if callable(write):
+        write(tmp)
+    else:
+        shutil.copytree(write, tmp)
+    os.makedirs(tmp, exist_ok=True)  # an empty write still publishes
+    shutil.rmtree(final, ignore_errors=True)
+    os.replace(tmp, final)
 
 
 # newest manifest format this code reads; a newer index is refused
@@ -99,7 +128,7 @@ class IndexManifest:
     # decides a hot-term posting's salt, hence its partition; manifests
     # written before it was persisted read as EngineConfig's default
     hot_term_salt_shift: int = 12
-    # lineage: part → {n_terms, n_rows, n_postings, checksum, elapsed_s, input}
+    # lineage: part → its meta.json's PART_SUMMARY keys (part_summaries)
     parts: dict[str, dict] = field(default_factory=dict)
     input_path: str = ""
 
@@ -162,21 +191,42 @@ def segment_file(index_dir: str, part: int) -> str:
     return os.path.join(segment_dir(index_dir, part), SEGMENT_FILE)
 
 
+def head_crc32(path: str) -> int:
+    """crc32 of a file's first MiB: the partition record's cheap
+    integrity fingerprint, verified by snapshot and restore."""
+    with open(path, "rb") as f:
+        return zlib.crc32(f.read(1 << 20))
+
+
+def part_meta(index_dir: str, part: int) -> dict:
+    """A partition's ``meta.json`` record, ``{}`` when it has none."""
+    path = os.path.join(segment_dir(index_dir, part), "meta.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path) as f:
+        return json.load(f)
+
+
 def completed_parts(index_dir: str) -> dict[int, dict]:
     """Scan per-partition meta.json files — the resume source of truth."""
     seg_root = os.path.join(index_dir, "segments")
-    done: dict[int, dict] = {}
     if not os.path.isdir(seg_root):
-        return done
-    for name in os.listdir(seg_root):
-        if not name.startswith("part="):
-            continue
-        meta_path = os.path.join(seg_root, name, "meta.json")
-        data_path = os.path.join(seg_root, name, SEGMENT_FILE)
-        if os.path.exists(meta_path) and os.path.exists(data_path):
-            with open(meta_path) as f:
-                done[int(name.split("=")[1])] = json.load(f)
-    return done
+        return {}
+    parts = [int(n.split("=")[1]) for n in os.listdir(seg_root) if n.startswith("part=")]
+    return {p: meta for p in parts
+            if (meta := part_meta(index_dir, p)) and os.path.exists(segment_file(index_dir, p))}
+
+
+# the partition-record keys the manifest carries per part
+PART_SUMMARY = ("n_terms", "n_rows", "n_postings", "elapsed_s", "hot_terms_present")
+
+
+def part_summaries(index_dir: str, num_partitions: int) -> dict[str, dict]:
+    """``manifest.parts``: each completed meta of partitions
+    ``0..num_partitions-1`` projected onto the :data:`PART_SUMMARY` keys
+    it holds."""
+    return {str(p): {k: meta[k] for k in PART_SUMMARY if k in meta}
+            for p, meta in sorted(completed_parts(index_dir).items()) if p < num_partitions}
 
 
 def analyzer_from_manifest(m: "IndexManifest") -> AnalyzerConfig:

@@ -75,6 +75,42 @@ def test_assume_sorted_equivalence(tmp_path, corpus_dir, built_index):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_streaming_sorted_build_matches_in_memory(tmp_path, corpus_dir, built_index):
+    """``in_memory_build_bytes=0`` sends an ``assume_sorted`` build down
+    the streaming branch: the sorted files are read per consumer, the
+    hot-term pre-pass samples whole files and the docmap is re-read. It
+    must give the in-memory build's docmap, corpus stats and rankings;
+    its hot-term set may differ, which moves postings between
+    partitions but not scores."""
+    import pandas as pd
+
+    from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
+    from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader
+
+    _, cfg, _ = built_index
+    mem_dir, stream_dir = str(tmp_path / "mem"), str(tmp_path / "stream")
+    m_mem = build_index(corpus_dir, mem_dir, cfg, assume_sorted=True)
+    m_str = build_index(corpus_dir, stream_dir, cfg.with_(in_memory_build_bytes=0),
+                        assume_sorted=True)
+
+    def docmap(d):
+        t = pq.read_table(os.path.join(d, "docmap.parquet")).to_pandas()
+        return t.sort_values("doc_id").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(docmap(mem_dir), docmap(stream_dir))
+    assert (m_str.n_docs, m_str.n_terms, m_str.total_tokens) == (
+        m_mem.n_docs, m_mem.n_terms, m_mem.total_tokens)
+    r_mem, r_str = IndexReader(mem_dir), IndexReader(stream_dir)
+    queries = ["payment", "the payment transfer", "invoice customer", "zzznotaterm",
+               " ".join(m_mem.hot_terms[:3])]
+    for q in queries:
+        for k in (1, 10, 50):
+            d1, s1 = r_mem.search_one(q, k)
+            d2, s2 = r_str.search_one(q, k)
+            assert d1.tolist() == d2.tolist(), (q, k)
+            assert np.allclose(s1, s2, rtol=0, atol=1e-9), (q, k)
+
+
 def test_write_dictionary_utility(built_index):
     """write_dictionary materializes exact (term, df, cf) from segments;
     Σ df equals Σ n_docs over the raw segment rows (no postings lost in

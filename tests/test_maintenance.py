@@ -910,3 +910,54 @@ def test_compaction_drops_empty_rows_and_recomputes_stats(ray_session, tmp_path)
         want = oracle.topk(q, 10)
         assert docs.tolist() == [d for d, _ in want]
         assert np.allclose(scores, [s for _, s in want], atol=1e-9)
+
+
+def test_compact_drops_emptied_hot_term_placement(ray_session, tmp_path):
+    """Deleting every doc of one salt bucket empties a hot term's
+    placement in one partition; compaction must drop it from that
+    partition's ``hot_terms_present`` or ``n_terms`` undercounts by one."""
+    import ray.data as rd
+
+    cfg = EngineConfig(hot_term_salt_buckets=8, hot_term_salt_shift=0)
+    texts = [f"wire w{i}" for i in range(2000)]
+
+    def build(name, keep):
+        rows = [{"conv_id": f"conv-{i:08d}", "turn_idx": 0, "role": "user", "text": texts[i],
+                 "tool": "", "ts": pd.Timestamp(2026, 1, 1)} for i in keep]
+        ds = rd.from_arrow(pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False))
+        idx = str(tmp_path / name)
+        return idx, build_index("mem", idx, cfg, transcripts_ds=ds)
+
+    idx, m = build("salted", range(len(texts)))
+    assert "wire" in m.hot_terms
+    delete_docs(idx, range(0, len(texts), 8))  # salt = doc_id % 8: bucket 0
+    compacted = compact_index(idx)
+    _, fresh = build("kept", [i for i in range(len(texts)) if i % 8])
+    assert compacted.n_terms == fresh.n_terms == 1751
+
+
+def test_static_prune_rerun_after_docmap_copy_crash(ray_session, tmp_path, monkeypatch):
+    """A crash inside the docmap copy leaves nothing a re-run trusts:
+    the re-run's docmap holds every source row."""
+    import shutil
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import static_prune_index
+
+    idx, m = _build(tmp_path, "prune_dm", TEXTS)
+    out = str(tmp_path / "pruned_dm")
+
+    def crashing_copytree(src, dst, *a, **kw):
+        os.makedirs(dst, exist_ok=True)
+        pq.write_table(pads.dataset(src).to_table().slice(0, 2),
+                       os.path.join(dst, "part-0.parquet"))
+        raise RuntimeError("crash inside copytree")
+
+    monkeypatch.setattr(shutil, "copytree", crashing_copytree)
+    with pytest.raises(RuntimeError, match="crash inside copytree"):
+        static_prune_index(idx, out, top_n=2)
+    monkeypatch.undo()
+    static_prune_index(idx, out, top_n=2)
+    assert pads.dataset(os.path.join(out, "docmap.parquet")).count_rows() == len(TEXTS)

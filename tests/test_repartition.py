@@ -152,3 +152,65 @@ def test_repartition_stale_meta_refused(built_index, tmp_path):
     os.remove(os.path.join(out, "manifest.json"))  # simulate crashed later phase
     with pytest.raises(Exception, match="different repartition run"):
         repartition_index(index_dir, out, 8)  # different layout into same dir
+
+
+def test_repartition_rerun_after_docmap_write_crash(built_index, tmp_path, monkeypatch):
+    """A crash inside the docmap write leaves nothing a re-run trusts:
+    the re-run's docmap holds every source row."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    index_dir, cfg, manifest = built_index
+    out = str(tmp_path / "repart_dm")
+
+    def crashing_write(self, path, *a, **kw):
+        os.makedirs(path, exist_ok=True)
+        pq.write_table(pa.Table.from_pylist(self.take(10)), os.path.join(path, "part-0.parquet"))
+        raise RuntimeError("crash inside write_parquet")
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", crashing_write)
+    with pytest.raises(RuntimeError, match="crash inside write_parquet"):
+        repartition_index(index_dir, out, 4)
+    monkeypatch.undo()
+    repartition_index(index_dir, out, 4)
+    n_src = pads.dataset(os.path.join(index_dir, "docmap.parquet")).count_rows()
+    assert pads.dataset(os.path.join(out, "docmap.parquet")).count_rows() == n_src
+
+
+def test_repartition_rerun_rewrites_truncated_empty_partition(ray_session, tmp_path):
+    """An empty partition's segment cut short by a crash (its meta and
+    the manifest never written) is rewritten by the re-run, so later
+    maintenance can read it."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from hybrid_sanctions_search_engine_ray.config import EngineConfig
+    from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import compact_index
+    from hybrid_sanctions_search_engine_ray.state.manifest import segment_dir
+
+    ds = rd.from_items([{"doc_id": i, "conv_id": f"c{i}", "turn_idx": 0, "text": t}
+                        for i, t in enumerate(["wire transfer fee", "wire post", "fee schedule"])])
+    src = str(tmp_path / "small")
+    build_index("mem", src, EngineConfig(num_partitions=2), transcripts_ds=ds)
+    out = str(tmp_path / "repart_trunc")
+    m = repartition_index(src, out, 16)  # 5 terms: most partitions are empty
+    empty = next(int(p) for p, s in m.parts.items() if s["n_rows"] == 0)
+    seg = os.path.join(segment_dir(out, empty), "postings.parquet")
+    with open(seg, "r+b") as f:
+        f.truncate(9)
+    os.remove(os.path.join(segment_dir(out, empty), "meta.json"))
+    os.remove(os.path.join(out, "manifest.json"))
+    repartition_index(src, out, 16)
+    assert pq.read_table(seg).num_rows == 0
+    meta = json.load(open(os.path.join(segment_dir(out, empty), "meta.json")))
+    assert meta["bytes"] == os.path.getsize(seg)
+    delete_docs(out, [0])
+    assert compact_index(out).n_docs == 2

@@ -957,6 +957,25 @@ def test_cross_fields_term_centric(feat_index, role_field_index):
         sfeat.CrossFieldsScorer([feat_index], [1.0, 2.0])
 
 
+def test_field_group_refuses_other_analyzer(feat_index, cf_norms, tmp_path):
+    """cross_fields and combined_fields analyze the query once, so a
+    field index whose analyzer differs in any manifest ANALYZER field
+    (here only ``min_token_len``) is refused, not just a different mode."""
+    import shutil
+
+    from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
+
+    other = str(tmp_path / "min4")
+    shutil.copytree(feat_index, other)
+    m = IndexManifest.load(other)
+    m.min_token_len = 4
+    m.save(other)
+    with pytest.raises(ValueError, match="one analyzer group.*min_token_len"):
+        sfeat.CrossFieldsScorer([feat_index, other], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one analyzer group.*min_token_len"):
+        sfeat.CombinedFieldsScorer([feat_index, other], [1.0, 1.0], [cf_norms[0]] * 2)
+
+
 def test_span_containing_enclosure(feat_index):
     # doc0 "alpha beta gamma delta": alpha@0 delta@3; doc1 "beta alpha
     # gamma delta epsilon": alpha@1 delta@3.
