@@ -685,28 +685,14 @@ def _round4(x: np.ndarray) -> np.ndarray:
 # --- queries ----------------------------------------------------------------
 
 
-def q_postings_bytes(sf_dir: str):
-    """Stored-postings codec audit: read back the PERSISTED segment
-    parquet of a dedicated unsalted index and report, per term, the
-    exact on-disk byte counts of the three varint streams (delta+varint
-    doc ids, varint tfs, varint doc lengths) plus the posting count —
-    verifying the physical artifact the BM25 tier serves from, byte for
-    byte, against an SQL reconstruction of the codec framing
-    (functions/codec.encode_posting: delta with absolute first value,
-    LEB128 7-bit varints). The audit index is built with
-    hot_term_df_ratio=2.0 — no term can exceed the sampled-df cut, so
-    hot-term salting is deterministically OFF and every posting list is
-    one contiguous delta chain in one partition (salted framing is
-    covered by the rank-identity of the hot-term BM25 oracles, which
-    read through the same codec). Sub-segment splits can't trigger
-    either (df ≤ n_docs ≪ max_postings_per_segment) — asserted loudly."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
+def _coldonly_index(sf_dir: str) -> str:
+    """The unsalted audit index over ``sf_dir``'s documents (see
+    :func:`q_postings_bytes`), built on first use and cached by format
+    version; returns its directory."""
     from hybrid_sanctions_search_engine_ray.config import AnalyzerConfig, EngineConfig
     from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
     from hybrid_sanctions_search_engine_ray.sources.transcripts import transcripts_from_documents
-    from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE, IndexManifest
+    from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
 
     from hybrid_sanctions_search_engine_ray import __version__ as _fmt
 
@@ -722,13 +708,30 @@ def q_postings_bytes(sf_dir: str):
                            analyzer=AnalyzerConfig(mode="simple"))
         build_index(os.path.join(sf_dir, "documents.parquet"), index_dir, cfg,
                     transcripts_ds=transcripts_from_documents(sf_dir))
+    return index_dir
 
-    import glob as _glob
 
-    seg_files = sorted(_glob.glob(
-        os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
-    segs = rd.read_parquet(
-        seg_files, columns=["term", "seg_idx", "n_docs", "docs", "tfs", "dls"])
+def q_postings_bytes(sf_dir: str):
+    """Stored-postings codec audit: read back the PERSISTED segment
+    parquet of a dedicated unsalted index and report, per term, the
+    exact on-disk byte counts of the three varint streams (delta+varint
+    doc ids, varint tfs, varint doc lengths) plus the posting count —
+    verifying the physical artifact the BM25 tier serves from, byte for
+    byte, against an SQL reconstruction of the codec framing
+    (functions/codec.encode_posting: delta with absolute first value,
+    LEB128 7-bit varints). The audit index is built with
+    hot_term_df_ratio=2.0 — no term can exceed the sampled-df cut, so
+    hot-term salting is deterministically OFF and every posting list is
+    one contiguous delta chain in one partition (salted framing is
+    covered by the rank-identity of the hot-term BM25 oracles, which
+    read through the same codec). Sub-segment splits can't trigger
+    either (df ≤ n_docs ≪ max_postings_per_segment) — asserted loudly."""
+    from ray.data.aggregate import Sum
+
+    from hybrid_sanctions_search_engine_ray.stages.postings import read_segments
+
+    segs = read_segments(_coldonly_index(sf_dir),
+                         ["term", "seg_idx", "n_docs", "docs", "tfs", "dls"])
 
     def partial(b: pa.Table) -> pa.Table:
         if pc.max(b["seg_idx"]).as_py() not in (None, 0):
@@ -1023,40 +1026,28 @@ def q_posting_gaps(sf_dir: str):
     per term, df, first doc id, mean gap (round4) and max gap between
     consecutive doc ids. One task pass over the persisted segments;
     twin recomputes the deltas from the tf CTE with LAG."""
-    import glob as _glob
+    from hybrid_sanctions_search_engine_ray.stages.postings import decode_segment, read_segments
 
-    import ray.data as rd
-
-    from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting
-    from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE
-
-    from hybrid_sanctions_search_engine_ray import __version__ as _fmt
-
-    q_postings_bytes(sf_dir)  # ensures the coldonly index exists
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    index_dir = f"/tmp/graft_idx_cache/{_fmt}/{tag}-coldonly"
-    seg_files = sorted(_glob.glob(
-        os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
-    segs = rd.read_parquet(seg_files, columns=["term", "docs", "tfs", "dls"])
+    segs = read_segments(_coldonly_index(sf_dir), ["term", "n_docs", "docs"])
 
     def stats(b: pa.Table) -> pa.Table:
-        terms, dfs, fsts, mgs, mxs = [], [], [], [], []
-        for i in range(b.num_rows):  # vocab-sized loop, vector inner ops
-            d, _t, _l = decode_posting(b["docs"][i].as_py(), b["tfs"][i].as_py(),
-                                       b["dls"][i].as_py())
-            d = d.astype(np.int64)
-            gaps = np.diff(d)
-            terms.append(b["term"][i].as_py())
-            dfs.append(int(d.size))
-            fsts.append(int(d[0]))
-            mgs.append(float(_round4(np.array(
-                [gaps.sum() / gaps.size]))[0]) if gaps.size else 0.0)
-            mxs.append(int(gaps.max()) if gaps.size else 0)
-        return pa.table({"term": pa.array(terms, pa.string()),
-                         "df": pa.array(dfs, pa.int64()),
-                         "first_doc": pa.array(fsts, pa.int64()),
-                         "mean_gap": pa.array(mgs, pa.float64()),
-                         "max_gap": pa.array(mxs, pa.int64())})
+        d, _, _, n = decode_segment(b)
+        d = d.astype(np.int64)
+        starts = np.cumsum(n) - n
+        first, last = d[starts], d[starts + n - 1]
+        # gaps inside each row: a row's first posting has no predecessor
+        gaps = np.diff(d, prepend=0)
+        gaps[starts] = 0
+        n_gaps = n - 1
+        mean = np.zeros(n.size)
+        has = n_gaps > 0
+        mean[has] = _round4((last - first)[has] / n_gaps[has])
+        return pa.table({"term": b["term"],
+                         "df": pa.array(n, pa.int64()),
+                         "first_doc": pa.array(first, pa.int64()),
+                         "mean_gap": pa.array(mean, pa.float64()),
+                         "max_gap": pa.array(np.maximum.reduceat(gaps, starts) if n.size
+                                             else gaps, pa.int64())})
 
     return segs.map_batches(stats, batch_format="pyarrow")
 
@@ -1445,11 +1436,7 @@ def q_build_metrics(sf_dir: str):
     value-exactly."""
     from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
 
-    from hybrid_sanctions_search_engine_ray import __version__ as _fmt
-
-    q_postings_bytes(sf_dir)  # ensures the coldonly index + lineage exist
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    m = IndexManifest.load(f"/tmp/graft_idx_cache/{_fmt}/{tag}-coldonly")
+    m = IndexManifest.load(_coldonly_index(sf_dir))
     parts = m.parts.values()
     return pd.DataFrame({
         "n_rows": [np.int64(sum(int(p.get("n_rows", 0)) for p in parts))],
@@ -2574,25 +2561,16 @@ def q_ef_bytes(sf_dir: str):
     bit-length ladder + shift) — the codec-choice companion to
     postings_bytes (varint): together they quantify the layout
     tradeoff on the physical index."""
-    import glob as _glob
-
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting, ef_encode
-    from hybrid_sanctions_search_engine_ray.state.manifest import SEGMENT_FILE, IndexManifest
+    from hybrid_sanctions_search_engine_ray.functions.codec import ef_encode
+    from hybrid_sanctions_search_engine_ray.stages.postings import decode_segment, read_segments
+    from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
 
-    from hybrid_sanctions_search_engine_ray import __version__ as _fmt
-
-    q_postings_bytes(sf_dir)  # ensures the coldonly index exists
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    index_dir = f"/tmp/graft_idx_cache/{_fmt}/{tag}-coldonly"
+    index_dir = _coldonly_index(sf_dir)
     universe = IndexManifest.load(index_dir).n_docs
 
-    seg_files = sorted(_glob.glob(
-        os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
-    segs = rd.read_parquet(
-        seg_files, columns=["term", "seg_idx", "docs", "tfs", "dls"])
+    segs = read_segments(index_dir, ["term", "seg_idx", "n_docs", "docs"])
 
     def partial(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -2603,17 +2581,15 @@ def q_ef_bytes(sf_dir: str):
         if pc.max(b["seg_idx"]).as_py() not in (None, 0):
             raise ValueError("ef_bytes: sub-segmented posting list — merge "
                              "segments before the EF layout audit")
-        terms, ns, ls, szs = [], [], [], []
-        for i in range(b.num_rows):  # vocab-sized row loop, vector inner ops
-            d, _t, _l = decode_posting(b["docs"][i].as_py(), b["tfs"][i].as_py(),
-                                       b["dls"][i].as_py())
-            lo, up, l = ef_encode(d, universe)
-            terms.append(b["term"][i].as_py())
-            ns.append(int(d.size))
+        d, _, _, n = decode_segment(b)
+        ends = np.cumsum(n)
+        ls, szs = [], []
+        for s, e in zip((ends - n).tolist(), ends.tolist()):  # EF codes one list per call
+            lo, up, l = ef_encode(d[s:e], universe)
             ls.append(l)
             szs.append(len(lo) + len(up))
-        return pa.table({"term": pa.array(terms, pa.string()),
-                         "n_p": pa.array(ns, pa.int64()),
+        return pa.table({"term": b["term"],
+                         "n_p": pa.array(n, pa.int64()),
                          "l_p": pa.array(ls, pa.int64()),
                          "sz_p": pa.array(szs, pa.int64())})
 
@@ -2743,9 +2719,8 @@ def q_static_prune(sf_dir: str):
 
     from hybrid_sanctions_search_engine_ray import __version__ as _fmt
 
-    q_postings_bytes(sf_dir)  # ensures the coldonly source index exists
+    src_dir = _coldonly_index(sf_dir)
     tag = os.path.basename(os.path.normpath(sf_dir))
-    src_dir = f"/tmp/graft_idx_cache/{_fmt}/{tag}-coldonly"
     out_dir = f"/tmp/graft_idx_cache/{_fmt}/{tag}-pruned{_PRUNE_TOP_N}"
     try:
         done = IndexManifest.load(out_dir).status == "complete"

@@ -44,6 +44,7 @@ from hybrid_sanctions_search_engine_ray.stages.postings import (
     assign_partitions,
     build_segment_packed,
     pack_postings_by_part,
+    read_segments,
 )
 from hybrid_sanctions_search_engine_ray.state.manifest import (
     ANALYZER,
@@ -56,7 +57,6 @@ from hybrid_sanctions_search_engine_ray.state.manifest import (
     identity_diff,
     part_summaries,
     publish_dir,
-    segment_file,
 )
 
 
@@ -557,13 +557,10 @@ def write_dictionary(index_dir: str) -> str:
     columns, no corpus scan. Optional: the query path derives df from
     the segment rows it already reads; this artifact serves analytics
     (top-terms, vocabulary exports) and debugging."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    done_meta = completed_parts(index_dir)
-    seg_files = [segment_file(index_dir, p) for p in sorted(done_meta)]
     dict_ds = (
-        rd.read_parquet(seg_files, columns=["term", "n_docs", "cf"])
+        read_segments(index_dir, ["term", "n_docs", "cf"])
         .groupby("term")
         .aggregate(Sum("n_docs", alias_name="df"), Sum("cf", alias_name="cf"))
     )

@@ -39,22 +39,18 @@ from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 
-from hybrid_sanctions_search_engine_ray.functions.codec import (
-    binary_parts,
-    decode_posting,
-    decode_positions,
-    decode_rows,
-    encode_positions,
-    encode_posting,
-    encode_rows,
-)
 from hybrid_sanctions_search_engine_ray.stages.postings import (
     RECORD_KEYS,
+    decode_segment,
+    keep_postings,
+    lift_doc_ids,
     publish_partition,
+    read_partition,
+    read_segments,
+    segment_file,
     segment_schema,
 )
 from hybrid_sanctions_search_engine_ray.state.manifest import (
@@ -62,7 +58,6 @@ from hybrid_sanctions_search_engine_ray.state.manifest import (
     LAYOUT,
     MANIFEST_VERSION,
     SCORING,
-    SEGMENT_FILE,
     IndexManifest,
     atomic_write_json,
     completed_parts,
@@ -74,7 +69,6 @@ from hybrid_sanctions_search_engine_ray.state.manifest import (
     part_summaries,
     publish_dir,
     segment_dir,
-    segment_file,
 )
 
 _TOMBSTONE_FILE = "tombstones.json"
@@ -124,11 +118,10 @@ def delete_docs(index_dir: str, doc_ids: Iterable[int]) -> int:
 def _scan_part_removed(index_dir: str, part: int, tomb: np.ndarray) -> dict:
     """Read-only: {doc_id: dl} of tombstoned postings in this partition
     (decodes only the docs/dls columns, never rewrites anything)."""
-    f = segment_file(index_dir, part)
-    if not os.path.exists(f):
+    tbl = read_partition(index_dir, part, columns=["n_docs", "docs", "dls"])
+    if tbl is None:
         return {}
-    tbl = pq.read_table(f, columns=["n_docs", "docs", "dls"])
-    d, _, l = decode_rows(tbl["docs"], None, tbl["dls"], tbl["n_docs"].to_numpy())  # noqa: E741
+    d, _, l, _ = decode_segment(tbl)  # noqa: E741
     hit = tombstone_mask(tomb, d)
     return dict(zip(d[hit].tolist(), l[hit].tolist()))
 
@@ -136,52 +129,22 @@ def _scan_part_removed(index_dir: str, part: int, tomb: np.ndarray) -> dict:
 @ray.remote
 def _compact_part(index_dir: str, part: int, tomb: np.ndarray, positional: bool) -> int:
     """Rewrite one partition's segment without tombstoned postings: one
-    decode and one tombstone test for the whole partition, rows left
-    empty dropped, one re-encode of what is kept. Untouched rows
-    re-encode to their original bytes. Partitions with no tombstoned
-    posting are not rewritten; idempotent for a fixed tombstone set.
-    The meta is recounted from the kept rows — ``hot_terms_present``
-    shrinks to the hot terms that kept a posting — and its lineage keys
-    pass through unchanged."""
-    f = segment_file(index_dir, part)
-    if not os.path.exists(f):
+    decode and one tombstone test for the whole partition, then
+    :func:`keep_postings`. Partitions with no tombstoned posting are not
+    rewritten; idempotent for a fixed tombstone set. The meta is
+    recounted from the kept rows — ``hot_terms_present`` shrinks to the
+    hot terms that kept a posting — and its lineage keys pass through
+    unchanged."""
+    tbl = read_partition(index_dir, part)
+    if tbl is None:
         return part
-    tbl = pq.read_table(f)
-    n = tbl["n_docs"].to_numpy()
-    d, t, l = decode_rows(tbl["docs"], tbl["tfs"], tbl["dls"], n)  # noqa: E741
-    keep = ~tombstone_mask(tomb, d)
+    decoded = decode_segment(tbl)
+    keep = ~tombstone_mask(tomb, decoded[0])
     if keep.all():
         return part
-    kept = np.bincount(np.repeat(np.arange(tbl.num_rows), n)[keep], minlength=tbl.num_rows)
-    rows = np.flatnonzero(kept)  # rows that still hold a posting
-    n_k = kept[rows]
-    starts = np.cumsum(n_k) - n_k
-    if rows.size:
-        tk = t[keep]
-        docs, tfs, dls = encode_rows(d[keep], tk, l[keep], starts)
-        cols = {
-            "term": tbl["term"].take(rows),
-            "seg_idx": tbl["seg_idx"].take(rows),
-            "n_docs": pa.array(n_k, pa.int64()),
-            "cf": pa.array(np.add.reduceat(tk, starts).astype(np.int64), pa.int64()),
-            "max_tf": pa.array(np.maximum.reduceat(tk, starts).astype(np.int64), pa.int32()),
-            "docs": docs, "tfs": tfs, "dls": dls,
-        }
-        if positional:
-            # positions stay re-encoded per row (no workload is bound by them)
-            flat, _ = decode_positions(binary_parts(tbl["poss"])[1], t)
-            flat_k = flat[np.repeat(keep, t.astype(np.int64))]
-            pos_bounds = np.concatenate(([0], np.cumsum(tk, dtype=np.int64)))
-            cols["poss"] = pa.array(
-                [encode_positions(flat_k[pos_bounds[s]:pos_bounds[s + c]], tk[s:s + c])
-                 for s, c in zip(starts.tolist(), n_k.tolist())],
-                pa.binary(),
-            )
-        out = pa.Table.from_arrays([cols[c] for c in tbl.column_names], schema=tbl.schema)
-    else:
-        out = tbl.schema.empty_table()
     meta = part_meta(index_dir, part)
-    publish_partition(index_dir, part, out, meta.get("hot_terms_present", ()),
+    publish_partition(index_dir, part, keep_postings(tbl, decoded, keep, positional),
+                      meta.get("hot_terms_present", ()),
                       **{k: v for k, v in meta.items() if k not in RECORD_KEYS})
     return part
 
@@ -275,11 +238,9 @@ def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
                 positional: bool, hot_terms: list[str]) -> int:
     """Merge one term-partition across source indexes into ``out_dir``.
 
-    Doc-id remapping: lifting a source into its global id range is one
-    batched decode + re-encode of its docs column with the offset added
-    (the blob is delta+varint with an absolute first value, so only each
-    row's first varint changes). tfs/dls/poss blobs are byte-copied
-    untouched (positions are doc-internal). Published with
+    Each source is lifted into its global doc-id range by
+    ``lift_doc_ids`` (tfs/dls/poss blobs are byte-copied untouched;
+    positions are doc-internal). Published with
     ``publish_partition`` — the same resume contract as build; the
     ``input`` lineage key names the sources for the resume check.
     """
@@ -288,17 +249,9 @@ def _merge_part(out_dir: str, part: int, srcs: list[tuple[str, int]],
     t0 = time.monotonic()
     tables = []
     for src_dir, offset in srcs:
-        f = segment_file(src_dir, part)
-        if not os.path.exists(f):
-            continue
-        tbl = pq.read_table(f)
-        if tbl.num_rows and offset:
-            n = tbl["n_docs"].to_numpy()
-            d, _, _ = decode_rows(tbl["docs"], None, None, n)
-            docs, _, _ = encode_rows(d + np.uint64(offset), None, None, np.cumsum(n) - n)
-            tbl = tbl.set_column(tbl.schema.get_field_index("docs"), "docs", docs)
-        if tbl.num_rows:
-            tables.append(tbl)
+        tbl = read_partition(src_dir, part)
+        if tbl is not None and tbl.num_rows:
+            tables.append(lift_doc_ids(tbl, offset))
 
     if tables:
         # renumber seg_idx per term in source order (sources are appended
@@ -534,30 +487,15 @@ def repartition_index(index_dir: str, out_dir: str, new_partitions: int) -> Inde
     if new_partitions < 1:
         raise ValueError("new_partitions must be >= 1")
 
-    files = []
-    for p in range(m.num_partitions):
-        f = segment_file(index_dir, p)
-        if os.path.exists(f):
-            files.append(f)
-    ds = rd.read_parquet(files, include_paths=True)
-
     def bucket(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.drop_columns(["path"]).append_column(
-                "new_part", pa.array([], pa.int64())
-            ).append_column("old_part", pa.array([], pa.int64()))
         new_part = hash_string_array(b["term"]).astype(np.int64) % new_partitions
-        old = [int(p.split("part=")[1].split("/")[0]) for p in b["path"].to_pylist()]
-        return (
-            b.drop_columns(["path"])
-            .append_column("new_part", pa.array(new_part, pa.int64()))
-            .append_column("old_part", pa.array(old, pa.int64()))
-        )
+        return (b.rename_columns(["old_part" if c == "part" else c for c in b.column_names])
+                .append_column("new_part", pa.array(new_part, pa.int64())))
 
     os.makedirs(out_dir, exist_ok=True)
     layout = {"num_partitions": new_partitions, "source": index_dir}
     written = set(
-        ds.map_batches(bucket, batch_format="pyarrow")
+        read_segments(index_dir).map_batches(bucket, batch_format="pyarrow")
         .groupby("new_part")
         .map_groups(
             lambda g: _repart_write_group(g, out_dir, m.store_positions, m.hot_terms, layout),
@@ -605,7 +543,7 @@ def _copy_verified_parts(src_dir: str, dst_dir: str, num_partitions: int,
             raise ValueError(corrupt.format(p=p))
         dst = segment_dir(dst_dir, p)
         os.makedirs(dst, exist_ok=True)
-        shutil.copy2(f, os.path.join(dst, SEGMENT_FILE))
+        shutil.copy2(f, segment_file(dst_dir, p))
         shutil.copy2(os.path.join(segment_dir(src_dir, p), "meta.json"),
                      os.path.join(dst, "meta.json"))
         copied.append(p)
@@ -801,11 +739,10 @@ def update_by_query(index_dir: str, query_text: str, out_docmap_dir: str,
 
     Scale shape: the match set ships as ONE broadcast sorted id array
     (matches ≪ corpus); the docmap rewrite is a streaming map_batches →
-    write_parquet pass — nothing corpus-sized materializes, and the
-    write is resumable at parquet-file granularity (finished files are
-    complete; rerun overwrites the directory atomically from the
-    caller's perspective because readers only use it after this
-    function returns the stats dict)."""
+    write_parquet pass — nothing corpus-sized materializes. The new
+    docmap and its ``_UBQ_META.json`` marker are published together by
+    ``publish_dir``, so a crash mid-write leaves no partial output and a
+    re-run redoes it."""
     import ray.data as rd
 
     from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader
@@ -843,15 +780,16 @@ def update_by_query(index_dir: str, query_text: str, out_docmap_dir: str,
             raise ValueError(
                 f"out_docmap_dir {out_docmap_dir!r} exists, is non-empty and was "
                 "not produced by update_by_query — refusing to delete it")
-        shutil.rmtree(out_docmap_dir)
-    (
-        rd.read_parquet(os.path.join(index_dir, "docmap.parquet"))
-        .map_batches(upd, batch_format="pyarrow")
-        .write_parquet(out_docmap_dir)
-    )
-    with open(os.path.join(out_docmap_dir, "_UBQ_META.json"), "w") as f:
-        json.dump({"index_dir": index_dir, "query_text": query_text,
-                   "set_col": set_col, "set_value": int(set_value)}, f)
+
+    def write(tmp: str) -> None:
+        (rd.read_parquet(os.path.join(index_dir, "docmap.parquet"))
+         .map_batches(upd, batch_format="pyarrow")
+         .write_parquet(tmp))
+        atomic_write_json(os.path.join(tmp, "_UBQ_META.json"),
+                          {"index_dir": index_dir, "query_text": query_text,
+                           "set_col": set_col, "set_value": int(set_value)})
+
+    publish_dir(out_docmap_dir, write)
     return {"updated": int(ids.size), "total": int(r.manifest.n_docs),
             "docmap_dir": out_docmap_dir}
 
@@ -893,53 +831,32 @@ def snapshot_diff(snap_a: str, snap_b: str) -> "pd.DataFrame":
 @ray.remote
 def _prune_part(index_dir: str, out_dir: str, part: int, top_n: int) -> int:
     """Rewrite one partition keeping each term's ``top_n``
-    highest-impact postings (tf desc, doc_id asc tie-break); lists
-    already within the budget are copied as zero-copy row slices."""
-    src = segment_file(index_dir, part)
-    if not os.path.exists(src):
-        return part
+    highest-impact postings (tf desc, doc_id asc tie-break): one decode,
+    one per-row rank, then :func:`keep_postings` (lists already within
+    the budget re-encode to their original bytes)."""
     # resume: a finished part records its top_n in meta.json (written
     # AFTER the data file — presence implies a complete part)
     if part_meta(out_dir, part).get("pruned_top_n") == top_n and \
             os.path.exists(segment_file(out_dir, part)):
         return part
-    tbl = pq.read_table(src)
-    pieces: list[pa.Table] = []
-    rebuilt: dict[str, list] = {c: [] for c in tbl.column_names}
-    run_start = 0
-
-    def _flush_clean(upto: int) -> None:
-        nonlocal run_start
-        if upto > run_start:
-            pieces.append(tbl.slice(run_start, upto - run_start))
-        run_start = upto + 1
-
-    nd = tbl["n_docs"].to_numpy(zero_copy_only=False)
-    for i in np.flatnonzero(nd > top_n):
-        i = int(i)
-        _flush_clean(i)
-        if tbl["seg_idx"][i].as_py() != 0:
-            raise ValueError(
-                "static_prune_index: sub-segmented posting list — prune "
-                "before rollover/append, or merge segments first")
-        d, t, l = decode_posting(
-            tbl["docs"][i].as_py(), tbl["tfs"][i].as_py(), tbl["dls"][i].as_py())
-        # signed key: negating the uint64 tf array would rely on wraparound
-        # (and a tf of 0 would sort as highest-impact) — ADVICE r04
-        sel = np.sort(np.lexsort((d, -t.astype(np.int64)))[:top_n])
-        dk, tk, lk = d[sel], t[sel], l[sel]
-        db, tb, lb = encode_posting(dk, tk, lk)
-        row = {"term": tbl["term"][i].as_py(), "seg_idx": 0,
-               "n_docs": int(dk.size), "cf": int(tk.sum()),
-               "max_tf": int(tk.max()), "docs": db, "tfs": tb, "dls": lb}
-        for c in tbl.column_names:
-            rebuilt[c].append(row[c])
-        pieces.append(pa.table({c: pa.array(rebuilt[c], tbl.schema.field(c).type)
-                                for c in tbl.column_names}))
-        rebuilt = {c: [] for c in tbl.column_names}
-    _flush_clean(tbl.num_rows)
-    out = pa.concat_tables(pieces) if pieces else tbl.schema.empty_table()
-    publish_partition(out_dir, part, out, pruned_top_n=top_n, input=src)
+    tbl = read_partition(index_dir, part)
+    if tbl is None:
+        return part
+    decoded = decode_segment(tbl)
+    d, t, _, n = decoded
+    if (tbl["seg_idx"].to_numpy()[n > top_n] != 0).any():
+        raise ValueError(
+            "static_prune_index: sub-segmented posting list — prune "
+            "before rollover/append, or merge segments first")
+    # rank every posting within its row by (tf desc, doc_id asc); a signed
+    # key, since negating the uint64 tf array would rely on wraparound
+    # (and a tf of 0 would sort as highest-impact) — ADVICE r04
+    row_starts = np.repeat(np.cumsum(n) - n, n)
+    order = np.lexsort((d, -t.astype(np.int64), np.repeat(np.arange(tbl.num_rows), n)))
+    rank = np.empty(d.size, dtype=np.int64)
+    rank[order] = np.arange(d.size) - row_starts
+    publish_partition(out_dir, part, keep_postings(tbl, decoded, rank < top_n, False),
+                      pruned_top_n=top_n, input=segment_file(index_dir, part))
     return part
 
 

@@ -26,6 +26,8 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from hybrid_sanctions_search_engine_ray.config import DEFAULT_CONFIG, AnalyzerConfig, EngineConfig
@@ -39,21 +41,29 @@ from hybrid_sanctions_search_engine_ray.functions.bm25 import (
     tf_factor,
     topk_desc,
 )
-from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting, decode_rows, varint_counts
+# unused here, but perfbench's decode span wraps it until ROADMAP #2
+from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting  # noqa: F401
 from hybrid_sanctions_search_engine_ray.functions.hashing import term_hash
-from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest, segment_file
+from hybrid_sanctions_search_engine_ray.stages.postings import (
+    decode_positions_column,
+    decode_segment,
+    read_partition,
+    segment_file,
+)
+from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
 
 # cap on a query's top_k (reference contracts.py:62 — default 50, max 1000)
 MAX_TOP_K = 1000
 
-# the top-k kernels a reader serves by ``method`` name
-SEARCH_METHODS = {"maxscore": score_maxscore, "taat": score_taat}
-
 
 def search_kernel(method: str):
-    if method not in SEARCH_METHODS:
-        raise ValueError(f"unknown search method {method!r}; expected one of {sorted(SEARCH_METHODS)}")
-    return SEARCH_METHODS[method]
+    """The top-k kernel a reader serves by ``method`` name, looked up
+    when called (so a wrapped ``score_maxscore`` is the one served)."""
+    if method == "maxscore":
+        return score_maxscore
+    if method == "taat":
+        return score_taat
+    raise ValueError(f"unknown search method {method!r}; expected one of ['maxscore', 'taat']")
 
 
 class IndexReader:
@@ -125,12 +135,11 @@ class IndexReader:
                         columns=["term", "seg_idx", "docs", "tfs", "dls"],
                     )))
             # one batched decode per partition table, after all the reads
-            # (measured faster than decoding each table as it arrives)
+            # (measured faster than decoding each table as it arrives);
+            # row lengths come from the docs bytes, cheaper than reading n_docs
             segs: dict[str, list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]] = {}
             for part, tbl in tables:
-                # row lengths from the docs bytes: cheaper than reading n_docs
-                n = varint_counts(tbl["docs"])
-                d, tf, dl = decode_rows(tbl["docs"], tbl["tfs"], tbl["dls"], n)
+                d, tf, dl, n = decode_segment(tbl)
                 ends = np.cumsum(n).tolist()
                 for term, seg, start, end in zip(tbl["term"].to_pylist(), tbl["seg_idx"].to_pylist(),
                                                  [0] + ends[:-1], ends):
@@ -178,43 +187,27 @@ class IndexReader:
         where doc ``doc_ids[i]``'s ascending in-document positions are
         ``flat[offsets[i]:offsets[i+1]]``. Sub-segments are merged in
         doc-id order, mirroring :meth:`load_postings`."""
-        from hybrid_sanctions_search_engine_ray.functions.codec import decode_positions
-
-        segs: list[tuple[int, int, np.ndarray, np.ndarray, list[np.ndarray]]] = []
-        for part in self._parts_for(term):
-            f = segment_file(self.index_dir, part)
-            if not os.path.exists(f):
-                continue
-            tbl = pads.dataset(f).to_table(
-                filter=pads.field("term") == term,
-                columns=["seg_idx", "docs", "tfs", "poss"],
-            )
-            for i in range(tbl.num_rows):
-                d, t, _ = decode_posting(tbl["docs"][i].as_py(), tbl["tfs"][i].as_py(), b"")
-                flat, offs = decode_positions(tbl["poss"][i].as_py(), t)
-                per_doc = [flat[offs[j] : offs[j + 1]] for j in range(d.size)]
-                segs.append((part, tbl["seg_idx"][i].as_py(), d, t, per_doc))
-        if not segs:
+        # sub-segments in (part, seg_idx) order, as load_postings takes them
+        tables = [tbl.take(pc.sort_indices(tbl["seg_idx"])) for part in self._parts_for(term)
+                  if (tbl := read_partition(self.index_dir, part, [term],
+                                            ["seg_idx", "docs", "tfs", "poss"])) is not None]
+        tbl = pa.concat_tables(tables) if tables else None
+        if tbl is None or tbl.num_rows == 0:
             return None
-        segs.sort(key=lambda s: (s[0], s[1]))
-        doc_ids = np.concatenate([s[2] for s in segs])
-        per_doc_all: list[np.ndarray] = [p for s in segs for p in s[4]]
+        doc_ids, counts, _, _ = decode_segment(tbl)
+        flat, offs = decode_positions_column(tbl, counts)
         order = np.argsort(doc_ids, kind="stable")
         if self.tombstones.size:  # same exclusion as load_postings
             from hybrid_sanctions_search_engine_ray.pipelines.maintenance import tombstone_mask
 
             order = order[~tombstone_mask(self.tombstones, doc_ids[order])]
-        doc_ids = doc_ids[order]
-        if doc_ids.size == 0:
+        if order.size == 0:
             return None
-        counts = np.concatenate([s[3] for s in segs])[order]
-        flat = (
-            np.concatenate([per_doc_all[i] for i in order])
-            if len(order)
-            else np.empty(0, dtype=np.uint64)
-        )
+        counts = counts[order].astype(np.int64)
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return doc_ids, offsets, flat
+        # each kept doc's positions, moved to its place in doc-id order
+        src = np.repeat(offs[order] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return doc_ids[order], offsets, flat[src]
 
     def load_raw(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Decoded (doc_ids, tfs, doclens) for one term — the federation

@@ -31,7 +31,6 @@ method="taat")`` and to the driver's SQL oracles.
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import os
 import re
@@ -54,11 +53,8 @@ from hybrid_sanctions_search_engine_ray.pipelines.query import (
     map_scorer,
 )
 from hybrid_sanctions_search_engine_ray.stages.analyze import DOC_SENTINEL
-from hybrid_sanctions_search_engine_ray.state.manifest import (
-    ANALYZER,
-    SEGMENT_FILE,
-    identity_diff,
-)
+from hybrid_sanctions_search_engine_ray.stages.postings import read_segments
+from hybrid_sanctions_search_engine_ray.state.manifest import ANALYZER, identity_diff
 
 def _load_shared_terms(readers: list[IndexReader], rows: list[dict]) -> None:
     """Preload for same-analyzer field readers: the batch's terms,
@@ -98,13 +94,7 @@ def _expand_regex_map(index_dir: str, rex: dict[str, str]) -> dict[str, list[str
     driver-side union of the (tiny) matched set. Terms can repeat across
     sub-segments / salt partitions; the union dedups.
     """
-    import ray.data as rd
-
-    files = sorted(glob.glob(os.path.join(index_dir, "segments", "part=*", SEGMENT_FILE)))
     out: dict[str, set[str]] = {qid: set() for qid in rex}
-    if not files:
-        return {qid: [] for qid in rex}
-    ds = rd.read_parquet(files, columns=["term"])
 
     def match(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -119,7 +109,8 @@ def _expand_regex_map(index_dir: str, rex: dict[str, str]) -> dict[str, list[str
         return pa.table({"query_id": pa.array(out_q, pa.string()),
                          "term": pa.array(out_t, pa.string())})
 
-    for row in ds.map_batches(match, batch_format="pyarrow").take_all():
+    matched = read_segments(index_dir, ["term"]).map_batches(match, batch_format="pyarrow")
+    for row in matched.take_all():
         if row["term"] != DOC_SENTINEL:
             out[row["query_id"]].add(row["term"])
     return {qid: sorted(ts) for qid, ts in out.items()}

@@ -1,5 +1,6 @@
-"""Posting-partition assignment and the segment-builder group function —
-the engine's wide shuffle (SURVEY.md §2.5 G3, §7.3).
+"""The segment format: posting-partition assignment, the segment-builder
+group function (the engine's wide shuffle, SURVEY.md §2.5 G3, §7.3), the
+one writer of a partition record and the one reader of its segment.
 
 Partitioning: ``part = crc32(term) % P``. Terms flagged hot by the
 sampled pre-pass (df > hot_term_df_ratio·N) are salted across
@@ -18,6 +19,15 @@ sentinel stat rows into the partition meta, and hands the table to
 (segment file + ``meta.json``, the unit of resume) for build and every
 maintenance path. Block maxima are computed by the reader at load time
 against current global stats.
+
+The reader sits beside the writer: :func:`read_partition` opens one
+partition's segment (term-filtered, column-pruned), :func:`decode_segment`
+and :func:`decode_positions_column` decode any encoded table in one
+batched pass, and :func:`read_segments` is the Ray Dataset over every
+completed partition. Maintenance rewrites go through :func:`lift_doc_ids`
+(merge) and :func:`keep_postings` (compaction, pruning). No other module
+opens a segment file or decodes its columns, except that
+``IndexReader.load_postings`` opens its own (ROADMAP #2).
 """
 
 from __future__ import annotations
@@ -30,17 +40,28 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from hybrid_sanctions_search_engine_ray.config import EngineConfig
-from hybrid_sanctions_search_engine_ray.functions.codec import encode_positions, encode_rows
+from hybrid_sanctions_search_engine_ray.functions.codec import (
+    binary_parts,
+    decode_positions,
+    decode_rows,
+    encode_positions,
+    encode_rows,
+    varint_counts,
+)
 from hybrid_sanctions_search_engine_ray.functions.hashing import factorize_exact, hash_string_array
 from hybrid_sanctions_search_engine_ray.state.manifest import (
-    SEGMENT_FILE,
     atomic_write_json,
+    completed_parts,
     head_crc32,
     segment_dir,
 )
+
+# name of a partition's posting segment file inside its segment_dir
+SEGMENT_FILE = "postings.parquet"
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -64,6 +85,10 @@ SEGMENT_SCHEMA_POS = SEGMENT_SCHEMA.append(pa.field("poss", pa.binary()))
 
 def segment_schema(positional: bool) -> pa.Schema:
     return SEGMENT_SCHEMA_POS if positional else SEGMENT_SCHEMA
+
+
+def segment_file(index_dir: str, part: int) -> str:
+    return os.path.join(segment_dir(index_dir, part), SEGMENT_FILE)
 
 
 # the partition-record keys publish_partition derives from the table;
@@ -91,7 +116,7 @@ def publish_partition(index_dir: str, part: int, table: pa.Table,
     # at the benchmark's scale, so it is one row group and the reader's
     # term filter prunes nothing. Kept so segment bytes stay unchanged.
     pq.write_table(table, tmp, row_group_size=4096)
-    final = os.path.join(sdir, SEGMENT_FILE)
+    final = segment_file(index_dir, part)
     os.replace(tmp, final)
     terms = pc.unique(table["term"])
     # hot (salted) terms present here — the only terms that can span
@@ -112,6 +137,103 @@ def publish_partition(index_dir: str, part: int, table: pa.Table,
     }
     atomic_write_json(os.path.join(sdir, "meta.json"), meta)
     return meta
+
+
+def read_partition(index_dir: str, part: int, terms=None, columns=None) -> pa.Table | None:
+    """One partition's encoded segment rows, only those of ``terms`` when
+    given and only ``columns`` when given; ``None`` when the partition
+    has no segment file."""
+    f = segment_file(index_dir, part)
+    if not os.path.exists(f):
+        return None
+    if terms is None:
+        return pq.read_table(f, columns=columns)
+    return pads.dataset(f).to_table(filter=pads.field("term").isin(terms), columns=columns)
+
+
+def decode_segment(tbl: pa.Table):
+    """Decode an encoded segment table in one batched pass → flat
+    ``(doc_ids, tfs, dls, n_docs)``: the postings of every row back to
+    back in row order, row ``r`` holding ``n_docs[r]``. ``tfs``/``dls``
+    are ``None`` when the table lacks that column; ``n_docs`` is the
+    column when it was read, else counted from the docs bytes."""
+    cols = tbl.column_names
+    n = tbl["n_docs"].to_numpy() if "n_docs" in cols else varint_counts(tbl["docs"])
+    d, tf, dl = decode_rows(tbl["docs"], tbl["tfs"] if "tfs" in cols else None,
+                            tbl["dls"] if "dls" in cols else None, n)
+    return d, tf, dl, n
+
+
+def lift_doc_ids(tbl: pa.Table, offset: int) -> pa.Table:
+    """``tbl`` with every doc id raised by ``offset`` (merge's move into a
+    global id range): one decode and re-encode of the docs column, whose
+    rows start at an absolute id, so only each row's first varint
+    changes; every other column is untouched."""
+    if not (tbl.num_rows and offset):
+        return tbl
+    d, _, _, n = decode_segment(tbl.select(["n_docs", "docs"]))
+    docs, _, _ = encode_rows(d + np.uint64(offset), None, None, np.cumsum(n) - n)
+    return tbl.set_column(tbl.schema.get_field_index("docs"), "docs", docs)
+
+
+def decode_positions_column(tbl: pa.Table, tfs: np.ndarray):
+    """The ``poss`` column of an encoded table decoded in one pass →
+    ``(flat, offsets)``: posting ``i``'s in-document positions are
+    ``flat[offsets[i]:offsets[i + 1]]`` (``tfs`` from
+    :func:`decode_segment`; a posting holds tf positions)."""
+    return decode_positions(binary_parts(tbl["poss"])[1], tfs)
+
+
+def keep_postings(tbl: pa.Table, decoded, keep: np.ndarray, positional: bool) -> pa.Table:
+    """``tbl`` re-encoded with only the postings ``keep`` marks (a mask
+    over ``decoded``, its :func:`decode_segment`) in one ``encode_rows``
+    call. Rows left empty are dropped, ``cf``/``max_tf`` are recounted,
+    and a row that keeps every posting re-encodes to its original bytes."""
+    d, t, dl, n = decoded
+    kept = np.bincount(np.repeat(np.arange(tbl.num_rows), n)[keep], minlength=tbl.num_rows)
+    rows = np.flatnonzero(kept)  # rows that still hold a posting
+    if not rows.size:
+        return tbl.schema.empty_table()
+    n_k = kept[rows]
+    starts = np.cumsum(n_k) - n_k
+    tk = t[keep]
+    docs, tfs, dls = encode_rows(d[keep], tk, dl[keep], starts)
+    cols = {
+        "term": tbl["term"].take(rows),
+        "seg_idx": tbl["seg_idx"].take(rows),
+        "n_docs": pa.array(n_k, pa.int64()),
+        "cf": pa.array(np.add.reduceat(tk, starts).astype(np.int64), pa.int64()),
+        "max_tf": pa.array(np.maximum.reduceat(tk, starts).astype(np.int64), pa.int32()),
+        "docs": docs, "tfs": tfs, "dls": dls,
+    }
+    if positional:
+        # positions stay re-encoded per row (no workload is bound by them)
+        flat, _ = decode_positions_column(tbl, t)
+        flat_k = flat[np.repeat(keep, t.astype(np.int64))]
+        pos_bounds = np.concatenate(([0], np.cumsum(tk, dtype=np.int64)))
+        cols["poss"] = pa.array(
+            [encode_positions(flat_k[pos_bounds[s]:pos_bounds[s + c]], tk[s:s + c])
+             for s, c in zip(starts.tolist(), n_k.tolist())],
+            pa.binary(),
+        )
+    return pa.Table.from_arrays([cols[c] for c in tbl.column_names], schema=tbl.schema)
+
+
+def read_segments(index_dir: str, columns=None):
+    """The Ray Dataset of every completed partition's encoded rows (the
+    partitions ``completed_parts`` lists), each row carrying its
+    partition number in an int64 ``part`` column."""
+    import ray.data as rd
+    from ray.data.datasource import Partitioning
+
+    files = [segment_file(index_dir, p) for p in sorted(completed_parts(index_dir))]
+    if not files:
+        return rd.from_items([])
+    # the part number comes from the ``part=K`` directory name
+    layout = Partitioning("hive", base_dir=os.path.join(index_dir, "segments"),
+                          field_types={"part": int})
+    return rd.read_parquet(files, columns=None if columns is None else [*columns, "part"],
+                           partitioning=layout)
 
 
 def assign_partitions(batch: pa.Table, cfg: EngineConfig, hot_terms: frozenset[str]) -> pa.Table:

@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
@@ -25,6 +26,18 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
+
+from hybrid_sanctions_search_engine_ray.state.manifest import atomic_write_json
+
+
+def _built(meta_path: str, meta: dict) -> bool:
+    """Whether the build marker at ``meta_path`` records ``meta``: a
+    builder writes its marker last (``atomic_write_json``), so a marker
+    that parses means a complete build with those parameters."""
+    if not os.path.exists(meta_path):
+        return False
+    with open(meta_path) as f:
+        return json.load(f) == meta
 
 
 def _batch_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -264,16 +277,12 @@ def ivf_build(embeddings_path: str, out_dir: str, n_clusters: int = 16,
     (reference: src/ai_service/layers/embeddings/indexing/
     vector_index_service.py:42-111), re-expressed as cluster-partitioned
     Arrow files. Skips work if ``out_dir`` is already complete."""
-    import json
-
     import ray.data as rd
 
     meta_path = os.path.join(out_dir, "_IVF_META.json")
     meta = {"n_clusters": n_clusters, "sample_rows": sample_rows, "source": embeddings_path}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f) == meta:
-                return out_dir
+    if _built(meta_path, meta):
+        return out_dir
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -313,8 +322,7 @@ def ivf_build(embeddings_path: str, out_dir: str, n_clusters: int = 16,
         return pd.DataFrame({"cluster": [c], "n_rows": [len(g)]})
 
     assigned.groupby("cluster").map_groups(write_cluster, batch_format="pandas").take_all()
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+    atomic_write_json(meta_path, meta)
     return out_dir
 
 
@@ -398,8 +406,6 @@ def lsh_build(embeddings_path: str, out_dir: str, n_planes: int = 12, seed: int 
     ``bucket IN (...)`` filter into the parquet scan. One streaming
     assignment pass; idempotent via the meta guard (same pattern as
     :func:`ivf_build`)."""
-    import json
-
     import ray.data as rd
 
     meta_path = os.path.join(out_dir, "_LSH_META.json")
@@ -407,10 +413,8 @@ def lsh_build(embeddings_path: str, out_dir: str, n_planes: int = 12, seed: int 
     ndim = len(ds.take(1)[0][cols[1]])
     meta = {"n_planes": n_planes, "seed": seed, "n_parts": n_parts,
             "ndim": ndim, "source": embeddings_path}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f) == meta:
-                return out_dir
+    if _built(meta_path, meta):
+        return out_dir
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -441,8 +445,7 @@ def lsh_build(embeddings_path: str, out_dir: str, n_planes: int = 12, seed: int 
 
     (ds.map_batches(assign, batch_format="pyarrow")
        .groupby("part").map_groups(write_part, batch_format="pandas").take_all())
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+    atomic_write_json(meta_path, meta)
     return out_dir
 
 
@@ -453,8 +456,6 @@ def lsh_query(lsh_dir: str, query_ids: list[int], query_matrix: np.ndarray,
     the scan → exact cosine within the candidate set (multi-probe LSH:
     recall is governed by (n_planes, radius), the scan fraction by
     Σ C(n_planes, <=radius) / 2^n_planes)."""
-    import json
-
     import pyarrow.dataset as pads
     import ray.data as rd
 
@@ -786,17 +787,13 @@ def nsw_build(embeddings_path: str, out_dir: str, n_parts: int = 8, m: int = 8,
     as ``part=P/data.parquet`` with rows in local-index order and a
     ``neighbors: list<int32>`` adjacency column. Idempotent via the same
     meta-guard pattern as :func:`ivf_build`."""
-    import json
-
     import ray.data as rd
 
     meta_path = os.path.join(out_dir, "_NSW_META.json")
     meta = {"n_parts": n_parts, "m": m, "ef_construction": ef_construction,
             "source": embeddings_path}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f) == meta:
-                return out_dir
+    if _built(meta_path, meta):
+        return out_dir
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -832,8 +829,7 @@ def nsw_build(embeddings_path: str, out_dir: str, n_parts: int = 8, m: int = 8,
 
     (ds.map_batches(assign, batch_format="pyarrow")
        .groupby("part").map_groups(build_part, batch_format="pandas").take_all())
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+    atomic_write_json(meta_path, meta)
     return out_dir
 
 
@@ -1222,18 +1218,14 @@ def pq_build(embeddings_path: str, out_dir: str, m: int = 16, n_codes: int = 16,
     Completes the ANN family: IVF (partition pruning), LSH (bucket
     probing), NSW (graph walk), int8 (scalar quantization), PQ (vector
     quantization). Skips work if ``out_dir`` is already complete."""
-    import json
-
     import ray.data as rd
 
     meta_path = os.path.join(out_dir, "_PQ_META.json")
     meta = {"m": m, "n_codes": n_codes, "sample_rows": sample_rows,
             "n_iter": n_iter, "seed": seed, "scale": scale,
             "source": embeddings_path}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f) == meta:
-                return out_dir
+    if _built(meta_path, meta):
+        return out_dir
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -1281,8 +1273,7 @@ def pq_build(embeddings_path: str, out_dir: str, m: int = 16, n_codes: int = 16,
     (ds.map_batches(Encode, fn_constructor_args=(books_ref,),
                     batch_format="pyarrow", concurrency=2)
        .write_parquet(os.path.join(out_dir, "codes")))
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+    atomic_write_json(meta_path, meta)
     return out_dir
 
 

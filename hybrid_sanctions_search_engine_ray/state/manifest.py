@@ -14,9 +14,13 @@ embeddings/indexing/watchlist_index_service.py:319-457)::
 The partition record is the unit of resume. ``stages/postings.
 publish_partition`` is its only writer: it replaces ``postings.parquet``
 atomically, derives every count from the table it wrote, and writes
-``meta.json`` LAST, so a meta's presence implies a complete segment. Its
-keys: ``part``, ``n_terms`` (distinct terms), ``n_rows``, ``n_postings``
-(Σ n_docs), ``bytes``, ``checksum_head_crc32`` (crc32 of the file's
+``meta.json`` LAST, so a meta's presence implies a complete segment. The
+segment's reader sits beside that writer: ``stages/postings.
+read_partition``, ``decode_segment`` and ``read_segments`` are the only
+code that opens and decodes a segment (``IndexReader.load_postings`` keeps
+its own open; see ROADMAP #2). The record's keys: ``part``,
+``n_terms`` (distinct terms), ``n_rows``, ``n_postings`` (Σ n_docs),
+``bytes``, ``checksum_head_crc32`` (crc32 of the file's
 first MiB), ``hot_terms_present`` (the salted hot terms it holds — the
 only terms that can span partitions), plus the writer's lineage keys
 (build: ``elapsed_s``, ``n_docs_partial``, ``tokens_partial``,
@@ -76,6 +80,7 @@ def publish_dir(final: str, write) -> None:
     ``final + ".tmp"``: a callable is given that path, a string names a
     directory to copy there. Any old ``final`` is then removed and the
     tmp renamed over it, so an existing ``final`` is always complete."""
+    final = os.path.normpath(final)  # a trailing "/" would nest the tmp inside final
     tmp = final + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     if callable(write):
@@ -179,16 +184,8 @@ class IndexManifest:
         return m
 
 
-# name of a partition's posting segment file inside its segment_dir
-SEGMENT_FILE = "postings.parquet"
-
-
 def segment_dir(index_dir: str, part: int) -> str:
     return os.path.join(index_dir, "segments", f"part={part:05d}")
-
-
-def segment_file(index_dir: str, part: int) -> str:
-    return os.path.join(segment_dir(index_dir, part), SEGMENT_FILE)
 
 
 def head_crc32(path: str) -> int:
@@ -209,6 +206,9 @@ def part_meta(index_dir: str, part: int) -> dict:
 
 def completed_parts(index_dir: str) -> dict[int, dict]:
     """Scan per-partition meta.json files — the resume source of truth."""
+    # imported here: the segment format's module imports this one
+    from hybrid_sanctions_search_engine_ray.stages.postings import segment_file
+
     seg_root = os.path.join(index_dir, "segments")
     if not os.path.isdir(seg_root):
         return {}

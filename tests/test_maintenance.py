@@ -961,3 +961,43 @@ def test_static_prune_rerun_after_docmap_copy_crash(ray_session, tmp_path, monke
     monkeypatch.undo()
     static_prune_index(idx, out, top_n=2)
     assert pads.dataset(os.path.join(out, "docmap.parquet")).count_rows() == len(TEXTS)
+
+
+def test_update_by_query_rerun_after_docmap_write_crash(ray_session, tmp_path, monkeypatch):
+    """A crash inside the new docmap's write leaves nothing the re-run
+    refuses: the re-run succeeds and equals an uninterrupted run."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import update_by_query
+
+    cfg = EngineConfig(num_partitions=4, analyzer=AnalyzerConfig(mode="simple"))
+    texts = ["alpha beta", "beta gamma", "alpha delta", "gamma delta", "epsilon"]
+    rows = [{"conv_id": f"c-{i:04d}", "turn_idx": 0, "role": "user",
+             "text": t, "tool": "", "ts": pd.Timestamp(2026, 1, 1)}
+            for i, t in enumerate(texts)]
+    idx = str(tmp_path / "ubq")
+    build_index("mem", idx, cfg,
+                transcripts_ds=rd.from_arrow(pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False)))
+
+    def crashing_write(self, path, *a, **kw):
+        os.makedirs(path, exist_ok=True)
+        pq.write_table(pa.Table.from_pylist(self.take(2)), os.path.join(path, "part-0.parquet"))
+        raise RuntimeError("crash inside write_parquet")
+
+    out = str(tmp_path / "ubq_docmap")
+    monkeypatch.setattr(rd.Dataset, "write_parquet", crashing_write)
+    with pytest.raises(RuntimeError, match="crash inside write_parquet"):
+        update_by_query(idx, "alpha gamma", out)
+    monkeypatch.undo()
+    stats = update_by_query(idx, "alpha gamma", out)
+    clean = str(tmp_path / "ubq_clean") + "/"  # a trailing slash names the same dir
+    assert update_by_query(idx, "alpha gamma", clean) == {**stats, "docmap_dir": clean}
+
+    def docmap(d):
+        return pads.dataset(d).to_table().to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(docmap(out), docmap(clean))
+    assert docmap(out)["flag"].tolist() == [1, 1, 1, 1, 0]
+    assert os.path.exists(os.path.join(out, "_UBQ_META.json"))

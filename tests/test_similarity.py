@@ -719,3 +719,41 @@ def test_exact_companions_tiny_corpus_edges(ray_session, tmp_path):
     # LSH with more planes than vectors → planes = all vectors, radius 0
     got = lsh_probe_exact(src, n_queries=1, n_planes=5, radius=5, k=10)
     assert len(got) <= 4
+
+
+@pytest.mark.parametrize("builder,marker,kw", [
+    ("ivf_build", "_IVF_META.json", {"n_clusters": 4, "sample_rows": 300}),
+    ("lsh_build", "_LSH_META.json", {"n_planes": 8, "n_parts": 4}),
+    ("nsw_build", "_NSW_META.json", {"n_parts": 2, "m": 6, "ef_construction": 24}),
+    ("pq_build", "_PQ_META.json", {"m": 4, "n_codes": 8}),
+])
+def test_marker_write_crash_leaves_no_marker(ray_session, vectors, tmp_path, monkeypatch,
+                                             builder, marker, kw):
+    """A build whose "presence means built" marker write fails partway
+    leaves no truncated marker: the re-run rebuilds and writes it whole."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from hybrid_sanctions_search_engine_ray.stages import similarity
+
+    src = str(tmp_path / "emb.parquet")
+    pq.write_table(_emb_table(vectors), src)
+    out = str(tmp_path / "built")
+    real_dump = json.dump
+
+    def failing_dump(obj, f, *a, **k):
+        if isinstance(obj, dict) and obj.get("source") == src:  # the marker
+            f.write(json.dumps(obj)[:5])
+            raise OSError("disk full while writing the marker")
+        return real_dump(obj, f, *a, **k)
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        getattr(similarity, builder)(src, out, **kw)
+    monkeypatch.undo()
+    assert not os.path.exists(os.path.join(out, marker))
+    getattr(similarity, builder)(src, out, **kw)
+    with open(os.path.join(out, marker)) as f:
+        assert json.load(f)["source"] == src
