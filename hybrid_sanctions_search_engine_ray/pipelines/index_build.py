@@ -1,31 +1,61 @@
 """Offline index build — the Ray-Data re-expression of the reference's
 deployment pipeline (reference: scripts/prepare_sanctions_data.py +
-scripts/deploy_to_elasticsearch.py — SURVEY.md §3.1), re-architected as:
+scripts/deploy_to_elasticsearch.py — SURVEY.md §3.1). ``build_index`` is
+four phases, each one function:
 
-    read_parquet → [sorted+id'd corpus CHECKPOINT on disk, if ids must
-      be assigned — never pinned in the object store] → docmap.parquet
-    → hot-term pre-pass: tokenize a deterministic 2% conv sample only
-    → ONE streaming tokenize scan: map_batches(posting rows + sentinel
-      stat rows) → assign part (salted) → [resume filter] → packed
-      map-side combine → groupby(part).map_groups(segment builder)
-    → segments/part=K/* (atomic per partition) → manifest.json last
+1. **ids** (:func:`_assign_ids`) decides the doc-id route once: doc ids
+   are dense ranks under stable ``(conv_id, turn_idx)`` order. It returns
+   the id'd corpus, the docmap writer and the hot-term pre-pass source.
+2. **hot pre-pass** (:func:`_hot_prepass`): a fresh build aggregates that
+   source into the salted hot-term set and saves the manifest; a resume
+   checks its config against the saved manifest's identity instead.
+3. **postings** (:func:`_write_postings`): ONE streaming tokenize scan →
+   posting rows + sentinel stat rows → salted partition key → packed
+   map-side combine → [resume filter] → ``groupby(part).map_groups``,
+   each group publishing ``segments/part=K/*`` atomically.
+4. **finalize** (:func:`_finalize`): corpus stats from the partition
+   records, the docmap side write joined, ``manifest.json`` flipped to
+   complete last.
 
-Nothing corpus-sized is ever pinned: posting rows stream straight into
-the partition shuffle with backpressure (an earlier design materialized
-the posting intermediate and collapsed under object-store pressure at
-145M+ postings). Exact corpus stats (N, Σdl) ride the shuffle as
-sentinel rows folded into partition metas; exact per-term df/cf come
-from the segment rows themselves (the query path reads them anyway, and
-``write_dictionary`` can materialize the vocabulary on demand). Each
-partition lands through ``stages/postings.publish_partition`` and the
-manifest's ``parts`` are read back from those records
-(``state/manifest.part_summaries``).
+The doc-id routes — which input takes which, where its ids and docmap
+come from, and what its pre-pass reads. The docmap is written on a side
+thread overlapped with phases 2-3, unless the checkpoint is the docmap.
+
+* **input carries ``doc_id``** (``reindex``, ``build_multi_field``'s
+  later fields): its own ids; the docmap is its doc_id, conv_id,
+  turn_idx (+ text) columns; the pre-pass reads the corpus and keeps its
+  2% conv sample (``emit_sampled_term_stats``).
+* **``assume_sorted`` path of at most ``in_memory_build_bytes``**: ids
+  from parquet footer prefix sums, the id'd corpus pinned once in the
+  object store; from there the route above.
+* **larger ``assume_sorted`` path**: the same ids, the files re-read per
+  consumer (the docmap too); the pre-pass reads every
+  ``HOT_SAMPLE_EVERY``-th file whole (``emit_term_stats``).
+* **anything else** (an unsorted path, an id-less ``transcripts_ds``):
+  the sorted (unless ``assume_sorted``) corpus checkpointed once with its
+  ids (:func:`checkpoint_corpus_with_ids`); the checkpoint IS the docmap
+  and the resume point, and the pre-pass reads the 2% sample side table
+  it wrote (``sample.parquet``, removed by finalize).
+
+Nothing corpus-sized is pinned but the small ``assume_sorted`` corpus:
+posting rows stream straight into the partition shuffle with
+backpressure (an earlier design materialized the posting intermediate
+and collapsed under object-store pressure at 145M+ postings). Exact
+corpus stats (N, Σdl) ride the shuffle as sentinel rows folded into
+partition metas; exact per-term df/cf come from the segment rows
+themselves (``write_dictionary`` can materialize the vocabulary on
+demand). Each partition lands through ``stages/postings.
+publish_partition`` and the manifest's ``parts`` are read back from
+those records (``state/manifest.part_summaries``).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -133,8 +163,6 @@ def checkpoint_corpus_with_ids(ds, corpus_dir: str, sort: bool = True,
     disk with column pruning instead of re-reading a pinned object.
     Returns the total row count.
     """
-    import shutil
-
     if sort:
         ds = ds.sort(["conv_id", "turn_idx"])
     shutil.rmtree(corpus_dir, ignore_errors=True)
@@ -242,121 +270,83 @@ def read_sorted_parquet_with_ids(input_path: str, columns: list[str]):
     )
 
 
-def build_index(
-    input_path: str,
-    index_dir: str,
-    cfg: EngineConfig = DEFAULT_CONFIG,
-    transcripts_ds=None,
-    resume: bool = False,
-    fail_after_parts: int | None = None,
-    assume_sorted: bool = False,
-    store_text: bool = False,
-    store_positions: bool = False,
-) -> IndexManifest:
-    """End-to-end index build. ``transcripts_ds`` overrides reading
-    ``input_path`` directly (it must carry the transcript schema; a
-    ``doc_id`` column is added here if absent). ``fail_after_parts`` is
-    the fault-injection hook for the resume test (FIXTURES.md §4).
+class _Ids(NamedTuple):
+    """What the ids phase hands the later phases."""
 
-    ``assume_sorted=True`` skips the global ``(conv_id, turn_idx)`` sort
-    and assigns doc ids in input block order — valid only when the input
-    files are already globally sorted (e.g. the shard-per-conv-range
-    layout ``generate_transcripts`` writes). The docid-invariant test
-    guards this equivalence (tests/test_index_build.py)."""
+    ds: Any                     # the id'd corpus the postings scan reads
+    docmap: Callable | None     # fills docmap.parquet's tmp dir; None: nothing to write
+    sample: Any                 # the hot-term pre-pass source; None: an empty sample
+    emit: Callable              # the pre-pass's per-batch term-stats emitter
+
+
+def _assign_ids(input_path: str, index_dir: str, cfg: EngineConfig, transcripts_ds,
+                assume_sorted: bool, store_text: bool, resumed: bool) -> _Ids:
+    """Phase 1: pick the doc-id route (the module docstring's list) and
+    return the id'd corpus, the docmap writer and the pre-pass source. A
+    resumed build keeps a complete checkpoint and an existing docmap."""
     import ray.data as rd
 
-    os.makedirs(index_dir, exist_ok=True)
     ds = transcripts_ds if transcripts_ds is not None else rd.read_parquet(input_path)
-
     docmap_path = os.path.join(index_dir, "docmap.parquet")
-    sample_path = os.path.join(index_dir, "sample.parquet")
-    manifest_path = os.path.join(index_dir, "manifest.json")
-    have_partial = resume and os.path.exists(manifest_path)
-
-    # Nothing corpus-sized is ever pinned in the object store. Two cases:
-    #
-    # * input already carries stable doc ids → every consumer (docmap,
-    #   pre-pass, main scan) re-executes the cheap read+map lineage,
-    #   fully streaming with column pruning.
-    # * ids must be assigned → the sorted+id'd corpus is persisted ONCE
-    #   as a parquet checkpoint (checkpoint_corpus_with_ids) that IS the
-    #   docmap (doc_id, conv_id, turn_idx, text — point lookups prune by
-    #   row-group stats and never touch the text column), plus a 2%
-    #   sampled side table the hot-term pre-pass reads instead of
-    #   rescanning every text row. The checkpoint doubles as the build's
-    #   resume point; text is always available (phrase search works
-    #   without store_text on this path).
-    # The docmap has NO consumer inside the build (queries read it after
-    # completion), so its write runs on a side thread OVERLAPPED with the
-    # pre-pass + postings shuffle — at bench scale it was ~40% of the
-    # wall. It is published with publish_dir (tmp dir + rename), so a
-    # crash mid-write never leaves a partial dir that a resume would
-    # mistake for complete. Joined (and re-raised) before the manifest
-    # flips to complete.
-    import concurrent.futures as _cf
-    import shutil as _sh
-
-    _docmap_pool = _cf.ThreadPoolExecutor(max_workers=1)
-    _docmap_future = None
-
+    docmap_cols = ["doc_id", "conv_id", "turn_idx"] + (["text"] if store_text else [])
     # the analyzer's detected-language column must survive every pruned
     # read/checkpoint on the way to the scan (code-review r05 finding)
-    _lang_extra = [cfg.analyzer.lang_col] if cfg.analyzer.lang_col else []
+    lang = [cfg.analyzer.lang_col] if cfg.analyzer.lang_col else []
+    keep_docmap = resumed and os.path.isdir(docmap_path)
 
-    sample_files: list[str] = []
-    fast_sorted_files: list[str] | None = None
-    # each non-checkpoint branch picks its docmap writer; it is submitted
-    # once below (the checkpoint branch's checkpoint IS the docmap)
-    docmap_cols = ["doc_id", "conv_id", "turn_idx"] + (["text"] if store_text else [])
-    write_docmap = None
-    if "doc_id" in ds.schema().names:
-        use_checkpoint = False
-        write_docmap = ds.select_columns(docmap_cols).write_parquet
-    elif assume_sorted and transcripts_ds is None:
-        # Already-sorted shard layout on disk: ids from parquet FOOTER
-        # prefix sums — no checkpoint rewrite, no extra corpus I/O. This
-        # is the fast path a resumable production layout should hit; the
-        # constant disk cost it removes is exactly what does NOT scale
-        # with cores.
-        use_checkpoint = False
-        fast_sorted_files = _sorted_corpus_files(input_path)
-        corpus_bytes = sum(os.path.getsize(f) for f in fast_sorted_files)
-        if corpus_bytes <= cfg.in_memory_build_bytes:
-            # small corpus: pin the id'd corpus in the object store once
-            # (three consumers, zero re-read — cheap and safe well below
-            # store capacity; large corpora take the streaming branch)
-            fast_sorted_files = None
-            ds = read_sorted_parquet_with_ids(
-                input_path, ["doc_id", "conv_id", "turn_idx", "text"] + _lang_extra
-            ).materialize()
-            write_docmap = ds.select_columns(docmap_cols).write_parquet
-        else:
-            ds = read_sorted_parquet_with_ids(
-                input_path, ["doc_id", "conv_id", "text"] + _lang_extra)
-            write_docmap = lambda p: read_sorted_parquet_with_ids(  # noqa: E731
-                input_path, docmap_cols).write_parquet(p)
-    else:
-        use_checkpoint = True
-        if not (have_partial and corpus_checkpoint_complete(docmap_path)):
-            checkpoint_corpus_with_ids(ds, docmap_path, sort=not assume_sorted,
-                                       sample_dir=sample_path,
-                                       extra_cols=tuple(_lang_extra))
-        if os.path.isdir(sample_path):
-            sample_files = _sorted_corpus_files(sample_path)
-        ds = rd.read_parquet(_sorted_corpus_files(docmap_path),
-                             columns=["doc_id", "conv_id", "text"] + _lang_extra)
-    if write_docmap is not None and not (have_partial and os.path.isdir(docmap_path)):
-        _docmap_future = _docmap_pool.submit(publish_dir, docmap_path, write_docmap)
+    has_ids = "doc_id" in ds.schema().names
+    if not has_ids and assume_sorted and transcripts_ds is None:
+        files = _sorted_corpus_files(input_path)
+        if sum(os.path.getsize(f) for f in files) > cfg.in_memory_build_bytes:
+            # sorted files re-read per consumer, ids from footer prefix
+            # sums; the pre-pass reads every HOT_SAMPLE_EVERY-th file whole
+            # (a pure function of the layout, as unbiased for df as the
+            # conv-hash sample), so every row of it counts
+            sfiles = files[::HOT_SAMPLE_EVERY] or files[:1]
+            return _Ids(
+                read_sorted_parquet_with_ids(input_path, ["doc_id", "conv_id", "text"] + lang),
+                None if keep_docmap else lambda p: read_sorted_parquet_with_ids(
+                    input_path, docmap_cols).write_parquet(p),
+                rd.read_parquet(sfiles, columns=["text"]) if sfiles else None,
+                emit_term_stats)
+        # small corpus: pin the id'd corpus once (three consumers, zero
+        # re-read); from here it is an input that carries its ids
+        ds = read_sorted_parquet_with_ids(
+            input_path, ["doc_id", "conv_id", "turn_idx", "text"] + lang).materialize()
+        has_ids = True
 
-    # --- hot-term pre-pass: tokenize only the deterministic 2% conv
-    # sample (pure function of conv_id → identical across batchings,
-    # cluster sizes and resumes); reused from the manifest on resume ---
-    if have_partial:
+    if has_ids:
+        # every consumer re-executes the cheap read+map lineage
+        return _Ids(ds, None if keep_docmap else ds.select_columns(docmap_cols).write_parquet,
+                    ds, emit_sampled_term_stats)
+
+    # ids must be assigned: the sorted+id'd corpus is persisted once as a
+    # checkpoint that IS the docmap (point lookups prune by row-group
+    # stats), plus the 2% conv-sample side table the pre-pass reads
+    sample_path = os.path.join(index_dir, "sample.parquet")
+    if not (resumed and corpus_checkpoint_complete(docmap_path)):
+        checkpoint_corpus_with_ids(ds, docmap_path, sort=not assume_sorted,
+                                   sample_dir=sample_path, extra_cols=tuple(lang))
+    sfiles = _sorted_corpus_files(sample_path) if os.path.isdir(sample_path) else []
+    return _Ids(
+        rd.read_parquet(_sorted_corpus_files(docmap_path),
+                        columns=["doc_id", "conv_id", "text"] + lang),
+        None,
+        rd.read_parquet(sfiles, columns=["conv_id", "text"]) if sfiles else None,
+        emit_sampled_term_stats)
+
+
+def _hot_prepass(index_dir: str, cfg: EngineConfig, input_path: str, store_positions: bool,
+                 resumed: bool, sample, emit: Callable) -> IndexManifest:
+    """Phase 2: the build's manifest. A fresh build owns the whole dir
+    (stale segments of an earlier build would survive the completed_parts
+    sweep) and takes its hot terms from ``sample``; a resumed build keeps
+    the saved manifest, whose identity must match ``cfg``."""
+    if resumed:
         manifest = IndexManifest.load(index_dir)
-        # resume must use the ORIGINAL run's identity: partition hashing,
-        # salting and tokenization all feed the done-part skip, so a
-        # changed cfg would silently drop or misroute postings
-        # (code-review r05 finding) — refuse loudly instead.
+        # partition hashing, salting and tokenization all feed the
+        # done-part skip, so a changed cfg would silently drop or
+        # misroute postings (code-review r05 finding)
         diffs = identity_diff(manifest, IndexManifest.from_config(cfg, store_positions),
                               SCORING + ANALYZER + LAYOUT)
         if diffs:
@@ -364,76 +354,56 @@ def build_index(
                 "build_index(resume=True): config differs from the saved "
                 "manifest — resume with the original config or rebuild "
                 "fresh: " + "; ".join(diffs))
-    else:
-        # a FRESH build owns the whole dir: stale segments from any
-        # previous build in the same location must not survive into the
-        # completed_parts sweep (they would corrupt corpus stats and
-        # leave old-corpus postings queryable — code-review r05 finding)
-        _sh.rmtree(os.path.join(index_dir, "segments"), ignore_errors=True)
-        import pyarrow.compute as pc
-        from ray.data.aggregate import Sum
+        return manifest
+    shutil.rmtree(os.path.join(index_dir, "segments"), ignore_errors=True)
+    manifest = IndexManifest.from_config(cfg, store_positions, input_path=input_path,
+                                         hot_terms=_hot_terms(sample, emit, cfg))
+    manifest.save(index_dir)
+    return manifest
 
-        # The sampled vocabulary is itself huge at 100 TB (identifiers,
-        # typos), so it never reaches the driver: the aggregated stats
-        # stay distributed (vocabulary-sized ≪ corpus-sized), the
-        # sentinel row is fetched alone, and the df_s >= cut filter runs
-        # dataset-side — the driver receives ONLY the hot terms, whose
-        # count is bounded by avgdl / (ratio·0.5) regardless of corpus
-        # size (Σdf ≤ N·avgdl ⇒ #\{df ≥ r·N\} ≤ avgdl/r).
-        # The pre-pass never scans the full text column when a cheaper
-        # deterministic sample exists:
-        # * checkpoint path — the pre-filtered 2% conv-sample side table
-        #   (emit_sampled_term_stats re-applies the same pure predicate,
-        #   which keeps every row);
-        # * sorted-files fast path — every HOT_SAMPLE_EVERY-th shard
-        #   FILE read whole (a pure function of the file layout, so
-        #   identical across cluster sizes/resumes; file-range sampling
-        #   is as unbiased as conv-hash sampling for df estimation).
-        pre_emit = emit_sampled_term_stats
-        if use_checkpoint:
-            pre_src = rd.read_parquet(sample_files, columns=["conv_id", "text"]) if sample_files else None
-        elif fast_sorted_files is not None:
-            sfiles = fast_sorted_files[::HOT_SAMPLE_EVERY] or fast_sorted_files[:1]
-            pre_src = rd.read_parquet(sfiles, columns=["text"]) if sfiles else None
-            pre_emit = emit_term_stats  # every row of a sampled file counts
-        else:
-            pre_src = ds
-        if pre_src is None:
-            hot_terms: list[str] = []
-        else:
-            samp_agg = (
-                pre_src.map_batches(
-                    lambda b: pre_emit(b, cfg),
-                    batch_format="pyarrow",
-                    batch_size=cfg.analyze_batch_size,
-                )
-                .groupby("term")
-                .aggregate(Sum("df_p", alias_name="df_s"))
-                .materialize()  # vocabulary-sized, NOT corpus-sized
-            )
-            sent_rows = samp_agg.map_batches(
-                lambda b: b.filter(pc.equal(b["term"], DOC_SENTINEL)), batch_format="pyarrow"
-            ).take_all()
-            n_sampled = sum(r["df_s"] for r in sent_rows)
-            # sampled-df threshold with a 0.5 margin: over-salting is a cheap
-            # false positive, under-salting a hot partition
-            hot_cut_sample = max(2, int(cfg.hot_term_df_ratio * n_sampled * 0.5))
-            hot_rows = samp_agg.map_batches(
-                lambda b: b.filter(
-                    pc.and_(pc.not_equal(b["term"], DOC_SENTINEL), pc.greater_equal(b["df_s"], hot_cut_sample))
-                ),
-                batch_format="pyarrow",
-            ).take_all()
-            hot_terms = sorted(r["term"] for r in hot_rows)
-        manifest = IndexManifest.from_config(cfg, store_positions, hot_terms=hot_terms,
-                                             input_path=input_path)
-        manifest.save(index_dir)
 
+def _hot_terms(sample, emit: Callable, cfg: EngineConfig) -> list[str]:
+    """The terms whose sampled df reaches ``hot_term_df_ratio``. The
+    sampled vocabulary is itself huge at 100 TB, so it never reaches this
+    process: the aggregate stays distributed, the sentinel row is fetched
+    alone and the cut runs dataset-side — only the hot terms come back, at
+    most avgdl / (ratio·0.5) of them (Σdf ≤ N·avgdl)."""
+    if sample is None:
+        return []
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Sum
+
+    samp_agg = (
+        sample.map_batches(lambda b: emit(b, cfg), batch_format="pyarrow",
+                           batch_size=cfg.analyze_batch_size)
+        .groupby("term")
+        .aggregate(Sum("df_p", alias_name="df_s"))
+        .materialize()  # vocabulary-sized, NOT corpus-sized
+    )
+    sent_rows = samp_agg.map_batches(
+        lambda b: b.filter(pc.equal(b["term"], DOC_SENTINEL)), batch_format="pyarrow"
+    ).take_all()
+    n_sampled = sum(r["df_s"] for r in sent_rows)
+    # sampled-df threshold with a 0.5 margin: over-salting is a cheap
+    # false positive, under-salting a hot partition
+    hot_cut_sample = max(2, int(cfg.hot_term_df_ratio * n_sampled * 0.5))
+    hot_rows = samp_agg.map_batches(
+        lambda b: b.filter(
+            pc.and_(pc.not_equal(b["term"], DOC_SENTINEL), pc.greater_equal(b["df_s"], hot_cut_sample))
+        ),
+        batch_format="pyarrow",
+    ).take_all()
+    return sorted(r["term"] for r in hot_rows)
+
+
+def _write_postings(ds, index_dir: str, cfg: EngineConfig, manifest: IndexManifest,
+                    input_path: str, resume: bool, store_positions: bool,
+                    fail_after_parts: int | None) -> None:
+    """Phase 3: one streaming tokenize scan → salted partition key →
+    packed map-side combine → [drop the partitions a resume finds done] →
+    ``groupby(part).map_groups``, each group publishing its partition."""
     hot = frozenset(manifest.hot_terms)
-
-    # --- Pass B: postings shuffle, resume-aware ---
-    done = completed_parts(index_dir) if resume else {}
-    done_parts = set(done.keys())
+    done_parts = set(completed_parts(index_dir)) if resume else set()
 
     postings = (
         ds.map_batches(
@@ -465,32 +435,67 @@ def build_index(
     # each task publishes its partition record; the output is one
     # part-number row per partition, fetched only to run the job
     postings.groupby("part").map_groups(seg_fn, batch_format="pandas").take_all()
+
+
+def _finalize(index_dir: str, manifest: IndexManifest, docmap) -> IndexManifest:
+    """Phase 4: fold the partition records into the manifest, wait for the
+    docmap side write (its failure surfaces here), flip the manifest to
+    complete and drop the spent pre-pass sample table."""
     done_meta = completed_parts(index_dir)
     manifest.parts = part_summaries(index_dir, manifest.num_partitions)
-
     # exact corpus stats: sentinel partials summed across partition metas
     # (covers both freshly built and resumed-over partitions)
     manifest.n_docs = sum(m.get("n_docs_partial", 0) for m in done_meta.values())
     manifest.total_tokens = sum(m.get("tokens_partial", 0) for m in done_meta.values())
     manifest.avgdl = (manifest.total_tokens / manifest.n_docs) if manifest.n_docs else 0.0
-
     # EXACT distinct-term count (the query path never consults n_terms:
     # df comes from segment rows)
     manifest.n_terms = exact_n_terms(manifest.parts)
-
-    # the docmap side write must land (and any failure surface) BEFORE
-    # the manifest flips to complete
-    if _docmap_future is not None:
-        _docmap_future.result()
-    _docmap_pool.shutdown(wait=False)
-
+    if docmap is not None:
+        docmap.result()
     manifest.status = "complete"
     manifest.save(index_dir)
-    if use_checkpoint:
-        # the checkpoint stays — it IS the docmap; only the pre-pass
-        # sample side table is spent
-        _sh.rmtree(sample_path, ignore_errors=True)
+    shutil.rmtree(os.path.join(index_dir, "sample.parquet"), ignore_errors=True)
     return manifest
+
+
+def build_index(
+    input_path: str,
+    index_dir: str,
+    cfg: EngineConfig = DEFAULT_CONFIG,
+    transcripts_ds=None,
+    resume: bool = False,
+    fail_after_parts: int | None = None,
+    assume_sorted: bool = False,
+    store_text: bool = False,
+    store_positions: bool = False,
+) -> IndexManifest:
+    """End-to-end index build: the four phases of the module docstring.
+    ``transcripts_ds`` overrides reading ``input_path`` directly (it must
+    carry the transcript schema; a ``doc_id`` column is added if absent).
+    ``fail_after_parts`` is the fault-injection hook for the resume test
+    (FIXTURES.md §4).
+
+    ``assume_sorted=True`` skips the global ``(conv_id, turn_idx)`` sort
+    and assigns doc ids in input order — valid only when the input files
+    are already globally sorted (e.g. the shard-per-conv-range layout
+    ``generate_transcripts`` writes). The docid-invariant test guards this
+    equivalence (tests/test_index_build.py)."""
+    os.makedirs(index_dir, exist_ok=True)
+    resumed = resume and os.path.exists(os.path.join(index_dir, "manifest.json"))
+    ids = _assign_ids(input_path, index_dir, cfg, transcripts_ds, assume_sorted, store_text, resumed)
+    # The docmap has no consumer inside the build, so its write overlaps
+    # the pre-pass and postings on a side thread (~40% of the wall at
+    # bench scale). publish_dir makes it all-or-nothing, and leaving the
+    # block joins it on every exit: a failed build never leaves it writing.
+    with ThreadPoolExecutor(max_workers=1) as side:
+        docmap = None if ids.docmap is None else side.submit(
+            publish_dir, os.path.join(index_dir, "docmap.parquet"), ids.docmap)
+        manifest = _hot_prepass(index_dir, cfg, input_path, store_positions, resumed,
+                                ids.sample, ids.emit)
+        _write_postings(ids.ds, index_dir, cfg, manifest, input_path, resume,
+                        store_positions, fail_after_parts)
+        return _finalize(index_dir, manifest, docmap)
 
 
 def build_multi_field(

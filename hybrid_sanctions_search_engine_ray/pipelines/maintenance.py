@@ -378,41 +378,6 @@ def merge_indexes(index_dirs: list[str], out_dir: str, resume: bool = False) -> 
     return out
 
 
-def ingest_delta(main_index: str, delta_transcripts_ds, out_dir: str,
-                 delta_work_dir: str | None = None, resume: bool = False):
-    """Incremental ingestion with PHYSICAL consolidation: build a delta
-    index over the new transcripts (inheriting the main index's
-    identity and stored columns so the merge is legal), then
-    :func:`merge_indexes` main+delta into ``out_dir``. The main index is
-    never modified — callers swap directories when ready (manifest-last
-    gives the same atomic-snapshot semantics as a build).
-
-    The query-time alternative with zero consolidation cost is
-    ``FederatedReader([main, delta])`` (pipelines/federated.py) — score-
-    identical; this function is the "compact when convenient" half of
-    that workflow. Returns the merged IndexManifest.
-    """
-    import tempfile
-
-    from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
-
-    m = IndexManifest.load(main_index)
-    if m.status != "complete":
-        raise ValueError("main index must be complete")
-    work = delta_work_dir or tempfile.mkdtemp(prefix="graft_delta_")
-    delta_manifest_done = False
-    if resume:
-        try:
-            delta_manifest_done = IndexManifest.load(work).status == "complete"
-        except FileNotFoundError:
-            pass
-    if not delta_manifest_done:
-        build_index(work + "_src", work, m.engine_config(), transcripts_ds=delta_transcripts_ds,
-                    resume=resume, store_positions=m.store_positions,
-                    store_text="text" in docmap_columns(main_index))
-    return merge_indexes([main_index, work], out_dir, resume=resume)
-
-
 def _repart_write_group(g, out_dir: str, positional: bool, hot_terms: list[str],
                         layout: dict) -> "pd.DataFrame":
     """Write one NEW term-partition from re-bucketed segment rows.
@@ -634,17 +599,24 @@ def reindex(src_index_dir: str, out_dir: str, cfg=None,
 
 
 def append_documents(index_dir: str, new_transcripts_ds, out_dir: str,
-                     registry: str | None = None, alias: str | None = None) -> IndexManifest:
+                     registry: str | None = None, alias: str | None = None,
+                     delta_work_dir: str | None = None, resume: bool = False) -> IndexManifest:
     """Incremental ingest — the ES index-new-batch-then-rollover flow:
     build a DELTA index from the new transcripts with the live index's
-    exact scoring/layout parameters, physically merge [live, delta] into
-    ``out_dir`` (delta doc ids lift by the live doc count — global ids
-    stay append-ordered), and optionally swap an alias to the merged
-    result atomically. The live index is never touched; a crash leaves
-    it serving. Cost is O(new docs) for the delta build plus the
-    partition-parallel merge pass — the full corpus is never re-analyzed
-    (reference flow: the sanctions pipeline's rebuild-and-swap cycle,
-    docs/DATA_PIPELINE.md index rotation)."""
+    identity and stored columns (so the merge is legal), physically merge
+    [live, delta] into ``out_dir`` (delta doc ids lift by the live doc
+    count — global ids stay append-ordered), and optionally swap an alias
+    to the merged result atomically. The live index is never touched; a
+    crash leaves it serving. Cost is O(new docs) for the delta build plus
+    the partition-parallel merge pass — the full corpus is never
+    re-analyzed (reference flow: the sanctions pipeline's
+    rebuild-and-swap cycle, docs/DATA_PIPELINE.md index rotation).
+
+    The delta is built in ``delta_work_dir`` (default ``out_dir +
+    ".delta"``) and removed once merged. ``resume=True`` keeps a complete
+    delta and resumes a partial delta build and the merge. The
+    query-time alternative with zero consolidation cost is
+    ``FederatedReader([live, delta])`` (pipelines/federated.py)."""
     import shutil as _sh
 
     from hybrid_sanctions_search_engine_ray.pipelines.index_build import build_index
@@ -652,12 +624,16 @@ def append_documents(index_dir: str, new_transcripts_ds, out_dir: str,
     m = IndexManifest.load(index_dir)
     if m.status != "complete":
         raise ValueError(f"live index at {index_dir} is not complete")
-    delta_dir = out_dir.rstrip("/") + ".delta"
-    _sh.rmtree(delta_dir, ignore_errors=True)
-    build_index("mem", delta_dir, m.engine_config(), transcripts_ds=new_transcripts_ds,
-                store_text="text" in docmap_columns(index_dir),
-                store_positions=m.store_positions)
-    merged = merge_indexes([index_dir, delta_dir], out_dir)
+    delta_dir = delta_work_dir or out_dir.rstrip("/") + ".delta"
+    if not resume:
+        _sh.rmtree(delta_dir, ignore_errors=True)
+    delta_done = (resume and os.path.exists(os.path.join(delta_dir, "manifest.json"))
+                  and IndexManifest.load(delta_dir).status == "complete")
+    if not delta_done:
+        build_index("mem", delta_dir, m.engine_config(), transcripts_ds=new_transcripts_ds,
+                    resume=resume, store_text="text" in docmap_columns(index_dir),
+                    store_positions=m.store_positions)
+    merged = merge_indexes([index_dir, delta_dir], out_dir, resume=resume)
     _sh.rmtree(delta_dir, ignore_errors=True)
     if registry is not None and alias is not None:
         from hybrid_sanctions_search_engine_ray.state.aliases import set_alias

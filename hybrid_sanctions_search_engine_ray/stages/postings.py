@@ -222,18 +222,22 @@ def keep_postings(tbl: pa.Table, decoded, keep: np.ndarray, positional: bool) ->
 def read_segments(index_dir: str, columns=None):
     """The Ray Dataset of every completed partition's encoded rows (the
     partitions ``completed_parts`` lists), each row carrying its
-    partition number in an int64 ``part`` column."""
+    partition number in an int64 ``part`` column. One read task per
+    partition file, and empty partitions left out: a 0-row file, or a
+    tiny file split across tasks, yields schema-less blocks that Ray Data
+    warns about ("a different schema") in every downstream operator."""
     import ray.data as rd
     from ray.data.datasource import Partitioning
 
-    files = [segment_file(index_dir, p) for p in sorted(completed_parts(index_dir))]
+    files = [segment_file(index_dir, p)
+             for p, meta in sorted(completed_parts(index_dir).items()) if meta.get("n_rows") != 0]
     if not files:
         return rd.from_items([])
     # the part number comes from the ``part=K`` directory name
     layout = Partitioning("hive", base_dir=os.path.join(index_dir, "segments"),
                           field_types={"part": int})
     return rd.read_parquet(files, columns=None if columns is None else [*columns, "part"],
-                           partitioning=layout)
+                           partitioning=layout, override_num_blocks=len(files))
 
 
 def assign_partitions(batch: pa.Table, cfg: EngineConfig, hot_terms: frozenset[str]) -> pa.Table:

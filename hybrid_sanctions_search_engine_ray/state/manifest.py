@@ -97,8 +97,15 @@ MANIFEST_VERSION = 1
 
 # the index identity groups (IndexManifest field names)
 SCORING = ("k1", "b")
-ANALYZER = ("analyzer_mode", "remove_stopwords", "stem", "dedup_tokens",
-            "min_token_len", "max_token_len", "lang_split_case", "lang_col")
+# the ANALYZER group: manifest field → AnalyzerConfig field (every one but
+# the derived name_field); from_config and analyzer_from_manifest use it
+ANALYZER_FIELDS = {
+    "analyzer_mode": "mode", "remove_stopwords": "remove_stopwords", "stem": "stem",
+    "dedup_tokens": "dedup_tokens", "min_token_len": "min_token_len",
+    "max_token_len": "max_token_len", "lang_split_case": "lang_split_case",
+    "lang_col": "lang_col",
+}
+ANALYZER = tuple(ANALYZER_FIELDS)
 LAYOUT = ("num_partitions", "hot_term_salt_buckets", "hot_term_salt_shift",
           "block_size", "store_positions")
 
@@ -141,13 +148,9 @@ class IndexManifest:
     def from_config(cls, cfg: EngineConfig, store_positions: bool = False,
                     **lineage) -> "IndexManifest":
         """A fresh build's manifest; ``lineage`` sets hot_terms/input_path."""
-        a = cfg.analyzer
         return cls(
             k1=cfg.k1, b=cfg.b,
-            analyzer_mode=a.mode, remove_stopwords=a.remove_stopwords, stem=a.stem,
-            dedup_tokens=a.dedup_tokens, min_token_len=a.min_token_len,
-            max_token_len=a.max_token_len, lang_split_case=a.lang_split_case,
-            lang_col=a.lang_col,
+            **{m: getattr(cfg.analyzer, a) for m, a in ANALYZER_FIELDS.items()},
             num_partitions=cfg.num_partitions,
             hot_term_salt_buckets=cfg.hot_term_salt_buckets,
             hot_term_salt_shift=cfg.hot_term_salt_shift,
@@ -236,17 +239,8 @@ def analyzer_from_manifest(m: "IndexManifest") -> AnalyzerConfig:
     build — code-review r05 finding). ``name_field`` is set for
     "_names" stemmers so readers don't re-fire the build-time consent
     warning."""
-    return AnalyzerConfig(
-        mode=m.analyzer_mode,
-        remove_stopwords=m.remove_stopwords,
-        stem=m.stem,
-        dedup_tokens=m.dedup_tokens,
-        min_token_len=m.min_token_len,
-        max_token_len=m.max_token_len,
-        lang_split_case=m.lang_split_case,
-        lang_col=m.lang_col,
-        name_field=m.stem.endswith("_names"),
-    )
+    return AnalyzerConfig(**{a: getattr(m, f) for f, a in ANALYZER_FIELDS.items()},
+                          name_field=m.stem.endswith("_names"))
 
 
 def identity_diff(saved: IndexManifest, other: IndexManifest, fields: tuple,

@@ -194,3 +194,80 @@ def test_manifest_round_trips_token_bounds(ray_session, tmp_path):
     docs, _ = r.search_one("a moscow", 5)
     assert list(docs) == [0]
     assert r.load_raw("a") is None  # never indexed
+
+
+def test_failed_build_joins_docmap_side_write(tmp_path, corpus_dir, built_index, monkeypatch):
+    """The docmap side write must not outlive a failed build: a resume
+    started right after would publish a second docmap into the same tmp
+    dir. With the write slowed down, it has finished by the time the
+    fault-injected build raises, and the resume then gives the docmap
+    and segments of an uninterrupted build."""
+    import time
+
+    import pandas as pd
+    import pytest
+
+    from hybrid_sanctions_search_engine_ray.pipelines import index_build
+
+    _, cfg, _ = built_index
+    idx, full = str(tmp_path / "idx"), str(tmp_path / "full")
+    publish, finished = index_build.publish_dir, []
+
+    def slow_publish(final, write):
+        time.sleep(2.0)
+        publish(final, write)
+        finished.append(final)
+
+    monkeypatch.setattr(index_build, "publish_dir", slow_publish)
+    with pytest.raises(Exception, match="fault injection"):
+        index_build.build_index(corpus_dir, idx, cfg, assume_sorted=True, fail_after_parts=1)
+    assert finished == [os.path.join(idx, "docmap.parquet")]
+    monkeypatch.undo()
+
+    m = index_build.build_index(corpus_dir, idx, cfg, assume_sorted=True, resume=True)
+    m_full = index_build.build_index(corpus_dir, full, cfg, assume_sorted=True)
+    assert (m.n_docs, m.total_tokens, m.n_terms) == (m_full.n_docs, m_full.total_tokens, m_full.n_terms)
+
+    def docmap(d):
+        t = pq.read_table(os.path.join(d, "docmap.parquet")).to_pandas()
+        return t.sort_values("doc_id").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(docmap(idx), docmap(full))
+    for p in range(cfg.num_partitions):
+        f = os.path.join("segments", f"part={p:05d}", "postings.parquet")
+        assert pq.read_table(os.path.join(idx, f)).equals(pq.read_table(os.path.join(full, f))), p
+
+
+# The engine functions a traced benchmark build wraps by module attribute
+# (perfbench/trace.py): a rename, or a call that bypasses the module,
+# would read its figure as 0 without any error.
+TRACED_BUILD_STAGES = {
+    "hybrid_sanctions_search_engine_ray.pipelines.index_build": ("read_sorted_parquet_with_ids",),
+    "hybrid_sanctions_search_engine_ray.stages.analyze": (
+        "emit_postings_with_sentinel", "emit_sampled_term_stats", "emit_term_stats"),
+    "hybrid_sanctions_search_engine_ray.stages.postings": (
+        "assign_partitions", "pack_postings_by_part", "build_segment_packed"),
+}
+
+
+def test_traced_build_stages_are_module_attributes():
+    import importlib
+
+    missing = [f"{mod}.{name}" for mod, names in TRACED_BUILD_STAGES.items()
+               for name in names if not callable(getattr(importlib.import_module(mod), name, None))]
+    assert not missing
+
+
+def test_assume_sorted_build_reads_ids_through_module(tmp_path, corpus_dir, built_index, monkeypatch):
+    from hybrid_sanctions_search_engine_ray.pipelines import index_build
+
+    read, calls = index_build.read_sorted_parquet_with_ids, []
+
+    def counting(*a, **kw):
+        calls.append(a)
+        return read(*a, **kw)
+
+    monkeypatch.setattr(index_build, "read_sorted_parquet_with_ids", counting)
+    _, cfg, _ = built_index
+    index_build.build_index(corpus_dir, str(tmp_path / "idx"), cfg, assume_sorted=True)
+    assert calls

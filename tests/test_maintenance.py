@@ -635,6 +635,59 @@ def test_every_manifest_field_is_classified():
     assert sorted(placed) == sorted(f.name for f in dataclasses.fields(IndexManifest))
 
 
+def test_analyzer_fields_map_every_analyzer_config_field():
+    """One mapping names the ANALYZER identity group: every AnalyzerConfig
+    field but the derived ``name_field`` is in it, and a non-default value
+    of each survives from_config → analyzer_from_manifest."""
+    import dataclasses
+
+    from hybrid_sanctions_search_engine_ray.state.manifest import (
+        ANALYZER,
+        ANALYZER_FIELDS,
+        IndexManifest,
+        analyzer_from_manifest,
+    )
+
+    assert ANALYZER == tuple(ANALYZER_FIELDS)
+    fields = {f.name for f in dataclasses.fields(AnalyzerConfig)} - {"name_field"}
+    assert sorted(ANALYZER_FIELDS.values()) == sorted(fields)
+    a = AnalyzerConfig(mode="full", remove_stopwords=True, stem="ru", dedup_tokens=True,
+                       lang_split_case=True, lang_col="lang", min_token_len=2, max_token_len=20)
+    assert all(getattr(a, f) != getattr(AnalyzerConfig(), f) for f in fields)
+    assert analyzer_from_manifest(IndexManifest.from_config(EngineConfig(analyzer=a))) == a
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_append_documents_leaves_no_delta(ray_session, tmp_path, monkeypatch, resume):
+    """Without a ``delta_work_dir`` the delta index is built beside
+    ``out_dir`` and removed once merged: nothing is left there or in the
+    temp dir (the resumable append used to leak a whole delta index under
+    the temp dir per call)."""
+    import tempfile
+
+    import ray.data as rd
+
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import append_documents
+
+    def docs(texts, start):
+        rows = [{"conv_id": f"c-{start + i:04d}", "turn_idx": 0, "role": "user", "text": t,
+                 "tool": "", "ts": pd.Timestamp(2026, 1, 1)} for i, t in enumerate(texts)]
+        return rd.from_arrow(pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False))
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg = EngineConfig(num_partitions=2, analyzer=AnalyzerConfig(mode="simple"))
+    build_index("mem", str(work / "base"), cfg, transcripts_ds=docs(["alpha beta", "beta gamma"], 0))
+    m = append_documents(str(work / "base"), docs(["gamma delta"], 2), str(work / "out"),
+                         resume=resume)
+    assert m.status == "complete" and m.n_docs == 3
+    assert sorted(os.listdir(work)) == ["base", "out"]
+    assert os.listdir(tmp) == []
+
+
 def _append_on_sorted_base(tmp_path, corpus_dir, append):
     """Build a text-less ``assume_sorted`` base over all but the last
     shard of ``corpus_dir``, ``append`` the last shard's rows to it, and
@@ -684,12 +737,12 @@ def test_append_documents_on_assume_sorted_base(ray_session, tmp_path, corpus_di
     _append_on_sorted_base(tmp_path, corpus_dir, append_documents)
 
 
-def test_ingest_delta_on_assume_sorted_base(ray_session, tmp_path, corpus_dir):
-    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import ingest_delta
+def test_append_documents_with_work_dir_on_assume_sorted_base(ray_session, tmp_path, corpus_dir):
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import append_documents
 
     _append_on_sorted_base(
         tmp_path, corpus_dir,
-        lambda base, ds, out: ingest_delta(base, ds, out, delta_work_dir=str(tmp_path / "work")))
+        lambda base, ds, out: append_documents(base, ds, out, delta_work_dir=str(tmp_path / "work")))
 
 
 def test_compaction_plan_rerun_is_idempotent(ray_session, tmp_path):

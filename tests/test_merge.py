@@ -100,20 +100,20 @@ def test_merge_resume_skips_done_parts(merged_setup, tmp_path):
     assert d.size > 0
 
 
-def test_ingest_delta_equals_merge(merged_setup, tmp_path):
-    """ingest_delta(main, new_docs) must score identically to the
+def test_append_documents_equals_merge(merged_setup, tmp_path):
+    """append_documents(main, new_docs) must score identically to the
     explicit build+merge of the same halves (segment layouts may differ
     — hot-term sets are re-derived — but stats and scores are exact)."""
     import pandas as pd  # noqa: F401
     import pyarrow as pa
     import ray.data as rd
 
-    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import ingest_delta
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import append_documents
 
     idx, out, _, halves, base = merged_setup
     ds_b = rd.from_arrow(pa.Table.from_pandas(halves["b"].reset_index(drop=True), preserve_index=False))
     out2 = str(tmp_path / "ingested")
-    m2 = ingest_delta(idx["a"], ds_b, out2, delta_work_dir=str(tmp_path / "delta"))
+    m2 = append_documents(idx["a"], ds_b, out2, delta_work_dir=str(tmp_path / "delta"))
     merged = IndexReader(out)
     ingested = IndexReader(out2)
     assert m2.n_docs == merged.manifest.n_docs

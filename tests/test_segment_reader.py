@@ -106,6 +106,56 @@ def test_read_segments_yields_completed_partitions_with_part(positional_index, t
     assert rows == want
 
 
+def _postings_by_term(index_dir):
+    """term → its (doc id, tf) postings over every partition and row."""
+    out = {}
+    for p in completed_parts(index_dir):
+        tbl = read_partition(index_dir, p, columns=["term", "n_docs", "docs", "tfs"])
+        docs, tfs, _, n = decode_segment(tbl)
+        for term, lo, hi in zip(tbl["term"].to_pylist(), np.cumsum(n) - n, np.cumsum(n)):
+            out.setdefault(term, []).extend(zip(docs[lo:hi].tolist(), tfs[lo:hi].tolist()))
+    return {t: sorted(v) for t, v in out.items()}
+
+
+def test_read_segments_skips_empty_partitions(positional_index, tmp_path, caplog):
+    """Empty partitions (0-row segments, as compaction or repartition
+    publish them) hold no rows: read_segments leaves them out, so Ray Data
+    logs no "different schema" warning over them, and the dictionary and
+    a repartition still see every posting."""
+    import logging
+
+    import pyarrow.parquet as pq
+
+    from hybrid_sanctions_search_engine_ray.pipelines.index_build import write_dictionary
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import repartition_index
+    from hybrid_sanctions_search_engine_ray.stages.postings import publish_partition, segment_schema
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(positional_index, idx)
+    for p in (3, 6):
+        publish_partition(idx, p, segment_schema(True).empty_table(), elapsed_s=0.0)
+
+    ray_data = logging.getLogger("ray.data")  # does not propagate to the root logger
+    ray_data.addHandler(caplog.handler)
+    try:
+        read_segments(idx).map_batches(lambda b: b, batch_format="pyarrow").materialize()
+        got = pq.read_table(write_dictionary(idx)).sort_by("term")
+    finally:
+        ray_data.removeHandler(caplog.handler)
+    assert not [m for m in caplog.messages if "different schema" in m]
+
+    rows = pa.concat_tables(read_partition(idx, p, columns=["term", "n_docs", "cf"])
+                            for p in range(8))
+    want = rows.group_by("term").aggregate([("n_docs", "sum"), ("cf", "sum")]).sort_by("term")
+    assert got["term"].equals(want["term"])
+    assert got["df"].to_pylist() == want["n_docs_sum"].to_pylist()
+    assert got["cf"].to_pylist() == want["cf_sum"].to_pylist()
+
+    out = str(tmp_path / "repart")
+    repartition_index(idx, out, 5)
+    assert _postings_by_term(out) == _postings_by_term(idx)
+
+
 # a module outside the segment format that names one of these reads or
 # decodes segments on its own
 _SEGMENT_NAMES = re.compile(r"\bSEGMENT_FILE\b|[\"']postings\.parquet[\"']|\bdecode_rows\b|\bvarint_counts\b")
