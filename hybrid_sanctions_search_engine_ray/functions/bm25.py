@@ -19,12 +19,11 @@ search_after cursors, must stick to ONE kernel):
 
 * :func:`score_taat` — exhaustive term-at-a-time accumulation, fully
   vectorized (np.unique + bincount). The correctness baseline.
-* :func:`score_maxscore` — MaxScore partitioning (Turtle & Flood 1995)
-  refined with per-block maxima (block-max pruning, Ding & Suel
-  SIGIR'11): non-essential terms (those whose summed upper bounds
-  cannot lift a doc past the running top-k threshold) only contribute
-  via direct lookups into candidate docs, and their posting blocks are
-  skipped entirely when the block max cannot matter. The PRODUCTION
+* :func:`score_maxscore` — MaxScore partitioning (Turtle & Flood 1995):
+  non-essential terms (those whose summed upper bounds cannot lift a
+  doc past a threshold set once, from the highest-impact term alone)
+  only contribute via direct lookups into candidate docs. It reads
+  each term's overall max, never the per-block maxima. The PRODUCTION
   path (vectorized end-to-end).
 * :func:`score_bmw` — the literal Block-Max WAND pivot algorithm, kept
   as the sequential REFERENCE kernel documenting equivalence with the
@@ -101,7 +100,15 @@ _DENSE_MAX_SPACE_RATIO = 4
 
 
 def score_taat(postings: list[TermPosting], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive term-at-a-time scoring, vectorized end-to-end.
+    """Exhaustive term-at-a-time scoring: :func:`score_all`, then top-k."""
+    docs, scores = score_all(postings)
+    return topk_desc(docs, scores, k)
+
+
+def score_all(postings: list[TermPosting]) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive candidate scoring (every doc matching ≥1 term), the
+    shared accumulator behind :func:`score_taat` and cursor pagination
+    (:func:`topk_desc_after`). Returns (doc_ids, scores) unranked.
 
     Two equivalent accumulators: sparse (np.unique + bincount — cheap for
     selective queries) and dense (a float array indexed by doc id with
@@ -112,14 +119,6 @@ def score_taat(postings: list[TermPosting], k: int) -> tuple[np.ndarray, np.ndar
     ``_DENSE_MAX_SPACE_RATIO × total_postings`` floats, so a sparse
     billion-doc id space falls back to the sparse accumulator instead of
     allocating by id-space size."""
-    docs, scores = score_all(postings)
-    return topk_desc(docs, scores, k)
-
-
-def score_all(postings: list[TermPosting]) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive candidate scoring (every doc matching ≥1 term), the
-    shared accumulator behind :func:`score_taat` and cursor pagination
-    (:func:`topk_desc_after`). Returns (doc_ids, scores) unranked."""
     if not postings:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
     total = sum(p.doc_ids.size for p in postings)
@@ -138,6 +137,25 @@ def score_all(postings: list[TermPosting]) -> tuple[np.ndarray, np.ndarray]:
     return uniq, sums
 
 
+def sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Boolean mask: which needles occur in the SORTED haystack."""
+    pos = np.searchsorted(haystack, needles)
+    ok = pos < haystack.size
+    ok[ok] = haystack[pos[ok]] == needles[ok]
+    return ok
+
+
+def score_at(postings: list[TermPosting], cand: np.ndarray) -> np.ndarray:
+    """BM25 of each candidate doc: Σ idf·factor over the postings that
+    hold it, added in the order the postings are given (so a caller
+    that keeps its term order keeps its score bits)."""
+    scores = np.zeros(cand.size, dtype=np.float64)
+    for p in postings:
+        hit = sorted_member(p.doc_ids, cand)
+        scores[hit] += p.factors[np.searchsorted(p.doc_ids, cand[hit])] * p.idf
+    return scores
+
+
 def topk_desc_after(doc_ids: np.ndarray, scores: np.ndarray, k: int,
                     cursor_score: float, cursor_doc: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k of the rows STRICTLY AFTER the cursor in (score desc,
@@ -151,13 +169,13 @@ def topk_desc_after(doc_ids: np.ndarray, scores: np.ndarray, k: int,
 
 
 def score_maxscore(postings: list[TermPosting], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """MaxScore + block-max pruning; returns exactly what score_taat returns.
+    """MaxScore; returns exactly what score_taat returns.
 
     Terms are sorted by max_score ascending; the shortest suffix of
-    "essential" terms whose upper bounds can beat the current threshold
+    "essential" terms whose upper bounds can beat the threshold θ
     generates candidates exhaustively; prefix terms only patch scores of
-    existing candidates via searchsorted lookups, skipping posting blocks
-    whose block_max cannot change membership of the top-k.
+    existing candidates via searchsorted lookups over their whole
+    posting. θ is set once and never raised; block maxima are not read.
     """
     if not postings:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
@@ -189,8 +207,6 @@ def score_maxscore(postings: list[TermPosting], k: int) -> tuple[np.ndarray, np.
         pos = np.searchsorted(cand, p.doc_ids)
         cand_scores[pos] += p.factors * p.idf
     # Non-essential terms: lookup-only patches into the candidate set.
-    # searchsorted inherently skips posting blocks with no candidates —
-    # the vectorized analog of block-max block skipping.
     for p in nonessential:
         if p.doc_ids.size == 0:
             continue

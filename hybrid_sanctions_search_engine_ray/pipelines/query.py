@@ -10,9 +10,11 @@ through ``map_batches(BM25Scorer, concurrency=N)``; each actor loads
 manifest + dictionary slices once (reference's load-once services,
 SURVEY.md §2.3 A4), reads only the term-partition segment files its
 query terms hash to (partition pruning + parquet row-group term
-filters), decodes and caches postings, and scores with MaxScore /
-block-max pruning (rank-identical to exhaustive TAAT, scores to ~1 ulp
-— verified in tests/test_query.py).
+filters), decodes and caches postings, and scores with MaxScore
+(rank-identical to exhaustive TAAT, scores to ~1 ulp — verified in
+tests/test_query.py). Phrase and span queries share one positional
+layer (:func:`clause_candidates`, :func:`clause_positions`,
+:func:`ordered_match`) beside :func:`phrase_search`.
 
 Output: ``(query_id, rank:int32, doc_id:int64, score:float64)``, ties
 broken (score desc, doc_id asc); optional docmap join re-attaches
@@ -36,8 +38,10 @@ from hybrid_sanctions_search_engine_ray.functions.bm25 import (
     TermPosting,
     idf,
     score_all,
+    score_at,
     score_maxscore,
     score_taat,
+    sorted_member,
     tf_factor,
     topk_desc,
 )
@@ -182,11 +186,15 @@ class IndexReader:
         return {t: p for t in terms if (p := self._postings.get(t)) is not None}
 
     def load_positions(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Positional postings for one term (requires an index built with
-        ``store_positions=True``): returns ``(doc_ids, offsets, flat)``
-        where doc ``doc_ids[i]``'s ascending in-document positions are
-        ``flat[offsets[i]:offsets[i+1]]``. Sub-segments are merged in
-        doc-id order, mirroring :meth:`load_postings`."""
+        """Positional postings for one term: returns ``(doc_ids, offsets,
+        flat)`` where doc ``doc_ids[i]``'s ascending in-document positions
+        are ``flat[offsets[i]:offsets[i+1]]``, or ``None`` when no live doc
+        holds the term. Sub-segments are merged in doc-id order, mirroring
+        :meth:`load_postings`. Every positional query reads its positions
+        here, so an index built without positions is refused here."""
+        if not self.manifest.store_positions:
+            raise ValueError(f"positional queries need an index built with "
+                             f"store_positions=True; {self.index_dir} has none")
         # sub-segments in (part, seg_idx) order, as load_postings takes them
         tables = [tbl.take(pc.sort_indices(tbl["seg_idx"])) for part in self._parts_for(term)
                   if (tbl := read_partition(self.index_dir, part, [term],
@@ -458,7 +466,7 @@ class IndexReader:
         if must:
             cand = postings[0].doc_ids
             for p in postings[1:]:
-                cand = cand[_sorted_member(p.doc_ids, cand)]
+                cand = cand[sorted_member(p.doc_ids, cand)]
                 if cand.size == 0:
                     return empty
         else:
@@ -473,30 +481,18 @@ class IndexReader:
                 return empty  # fewer live should terms than required matches
             nm = np.zeros(cand.size, np.int64)
             for p in got_should.values():
-                nm[_sorted_member(p.doc_ids, cand)] += 1
+                nm[sorted_member(p.doc_ids, cand)] += 1
             cand = cand[nm >= min_should_match]
             if cand.size == 0:
                 return empty
         for p in self.load_postings(excl).values():
-            cand = cand[~_sorted_member(p.doc_ids, cand)]
+            cand = cand[~sorted_member(p.doc_ids, cand)]
             if cand.size == 0:
                 return empty
-        scores = np.zeros(cand.size, np.float64)
-        for p in list(self.load_postings(should).values()) + postings:
-            hit = _sorted_member(p.doc_ids, cand)
-            pos = np.searchsorted(p.doc_ids, cand[hit])
-            scores[hit] += p.idf * p.factors[pos]
+        scores = score_at(list(self.load_postings(should).values()) + postings, cand)
         k = min(top_k, cand.size)
         order = np.lexsort((cand, -scores))[:k]
         return cand[order], scores[order]
-
-
-def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Boolean mask: which needles occur in the SORTED haystack."""
-    pos = np.searchsorted(haystack, needles)
-    ok = pos < haystack.size
-    ok[ok] = haystack[pos[ok]] == needles[ok]
-    return ok
 
 
 # Result columns of a scorer, name → dtype. ``str`` marks the query-id
@@ -669,98 +665,176 @@ def phrase_search(
     candidate_factor: int = 4,
     reader: IndexReader | None = None,
 ) -> pd.DataFrame:
-    """Phrase query = BM25 candidate retrieval + exact token-sequence
-    verification over stored text (requires ``build_index(...,
-    store_text=True)``).
+    """Phrase query, ranked by the BM25 of the phrase's terms with the
+    usual (score desc, doc_id asc) ties. Mirrors the reference's AC
+    exact/phrase tier (reference: elasticsearch_adapters.py:164-331
+    phrase clause).
 
-    Mirrors the reference's AC exact/phrase tier (reference:
-    elasticsearch_adapters.py:164-331 phrase clause) without a positional
-    index: retrieve ``candidate_factor × top_k`` BM25 candidates for the
-    phrase's terms, fetch their texts via row-group-pruned docmap reads,
-    keep docs whose ANALYZED token stream contains the phrase's token
-    sequence contiguously, and return the top-k of the survivors in BM25
-    order. With all phrase terms required in candidates' BM25 top-C this
-    is exact for the returned prefix whenever ≥ top_k survivors exist in
-    the candidate pool (the standard retrieve-then-verify rerank shape).
+    On a positional index (``store_positions=True``) it is
+    :func:`near_hits` at slop 0, the span_near path: exact over every
+    doc. Otherwise it is retrieve-then-verify over stored text (requires
+    ``build_index(..., store_text=True)``): retrieve ``candidate_factor ×
+    top_k`` BM25 candidates for the phrase's terms, fetch their texts via
+    row-group-pruned docmap reads, keep docs whose ANALYZED token stream
+    contains the phrase's token sequence contiguously, and return the
+    top-k of the survivors in BM25 order. That is exact for the returned
+    prefix whenever ≥ top_k survivors exist in the candidate pool (the
+    standard retrieve-then-verify rerank shape).
     """
     r = reader or IndexReader(index_dir)
     want = r.analyzer(phrase)
+    empty = pd.DataFrame({"rank": [], "doc_id": [], "score": []})
     if not want:
-        return pd.DataFrame({"rank": [], "doc_id": [], "score": []})
+        return empty
     if r.manifest.store_positions:
-        return _phrase_positional(r, want, top_k)
-    docs, scores = r.search_one(phrase, top_k * candidate_factor)
-    if docs.size == 0:
-        return pd.DataFrame({"rank": [], "doc_id": [], "score": []})
-    ids = sorted(int(d) for d in docs)
-    dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
-        filter=pads.field("doc_id").isin(ids)
-    )
-    if "text" not in dm.column_names:
-        raise ValueError("phrase_search requires an index built with store_text=True")
-    texts = dict(zip(dm["doc_id"].to_pylist(), dm["text"].to_pylist()))
+        docs, scores = near_hits(r, want, 0, top_k)
+        if docs.size == 0:
+            return empty
+    else:
+        docs, scores = r.search_one(phrase, top_k * candidate_factor)
+        if docs.size == 0:
+            return empty
+        ids = sorted(int(d) for d in docs)
+        dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
+            filter=pads.field("doc_id").isin(ids)
+        )
+        if "text" not in dm.column_names:
+            raise ValueError("phrase_search requires an index built with store_text=True")
+        texts = dict(zip(dm["doc_id"].to_pylist(), dm["text"].to_pylist()))
 
-    def contains(doc_id: int) -> bool:
-        toks = r.analyzer(texts.get(int(doc_id), ""))
-        n, m = len(toks), len(want)
-        return any(toks[i : i + m] == want for i in range(n - m + 1))
+        def contains(doc_id: int) -> bool:
+            toks = r.analyzer(texts.get(int(doc_id), ""))
+            n, m = len(toks), len(want)
+            return any(toks[i : i + m] == want for i in range(n - m + 1))
 
-    keep = [i for i, d in enumerate(docs) if contains(int(d))][: top_k]
+        keep = [i for i, d in enumerate(docs) if contains(int(d))][: top_k]
+        docs, scores = docs[keep], scores[keep]
     return pd.DataFrame(
         {
-            "rank": np.arange(1, len(keep) + 1, dtype=np.int32),
-            "doc_id": docs[keep].astype(np.int64),
-            "score": scores[keep],
-        }
-    )
-
-
-def _phrase_positional(r: IndexReader, want: list[str], top_k: int) -> pd.DataFrame:
-    """Exact phrase matching over POSITIONAL postings (no stored-text
-    re-tokenization — the reference's ES phrase clause works off Lucene
-    positional postings the same way, elasticsearch_adapters.py:164-331):
-    intersect the phrase terms' doc lists, then chain positions
-    (p ∈ P_1, p+1 ∈ P_2, …), and rank surviving docs by the BM25 score
-    of the phrase terms with the usual (score desc, doc_id asc) ties."""
-    from functools import reduce
-
-    uniq = sorted(set(want))
-    postings = r.load_postings(uniq)
-    if len(postings) < len(uniq):
-        return pd.DataFrame({"rank": [], "doc_id": [], "score": []})
-    pos = {t: r.load_positions(t) for t in uniq}
-    if any(p is None for p in pos.values()):
-        raise ValueError("index has store_positions but positional data is missing")
-    cand = reduce(np.intersect1d, [postings[t].doc_ids for t in uniq])
-    matches: list[int] = []
-    for d in cand:
-        starts = None  # candidate phrase-start positions surviving so far
-        for i, t in enumerate(want):
-            doc_ids, offsets, flat = pos[t]
-            j = int(np.searchsorted(doc_ids, d))
-            p_t = flat[offsets[j] : offsets[j + 1]].astype(np.int64)
-            starts = p_t if starts is None else starts[np.isin(starts + i, p_t)]
-            if starts.size == 0:
-                break
-        else:
-            matches.append(int(d))
-    if not matches:
-        return pd.DataFrame({"rank": [], "doc_id": [], "score": []})
-    m = np.array(matches, dtype=np.uint64)
-    scores = np.zeros(m.size, dtype=np.float64)
-    for p in postings.values():
-        idx = np.searchsorted(p.doc_ids, m)
-        safe = np.minimum(idx, p.doc_ids.size - 1)
-        hit = (idx < p.doc_ids.size) & (p.doc_ids[safe] == m)
-        scores[hit] += p.factors[idx[hit]] * p.idf
-    docs, sc = topk_desc(m, scores, top_k)
-    return pd.DataFrame(
-        {
-            "rank": np.arange(1, docs.size + 1, dtype=np.int32),
+            "rank": np.arange(1, len(docs) + 1, dtype=np.int32),
             "doc_id": docs.astype(np.int64),
-            "score": sc,
+            "score": scores,
         }
     )
+
+
+# --- the positional layer ------------------------------------------------------
+# Every phrase, span and intervals query takes its candidates, its per-doc
+# positions and (when ordered) its position chain from here. A clause is a
+# list of alternative terms (``[t]`` for a plain term). ``postings`` maps each
+# term with live postings to its TermPosting (IndexReader.load_postings);
+# ``pos`` maps terms to ``(doc_ids, offsets, flat)`` (IndexReader.load_positions).
+
+
+def clause_candidates(postings: dict[str, TermPosting], clauses: list[list[str]]) -> np.ndarray:
+    """The sorted docs that hold at least one term of every clause."""
+    cand = np.empty(0, dtype=np.uint64)
+    for i, c in enumerate(clauses):
+        docs = [postings[t].doc_ids for t in c if t in postings]
+        if not docs:
+            return np.empty(0, dtype=np.uint64)
+        u = np.unique(np.concatenate(docs))
+        cand = u if i == 0 else np.intersect1d(cand, u, assume_unique=True)
+    return cand
+
+
+def clause_positions(pos: dict, clause: list[str], doc) -> np.ndarray:
+    """The sorted unique positions in ``doc`` of any term of ``clause``
+    (int64), empty when the doc holds none of them."""
+    got = []
+    for t in clause:
+        if (loaded := pos.get(t)) is None:
+            continue
+        doc_ids, offsets, flat = loaded
+        at = int(np.searchsorted(doc_ids, doc))
+        if at < doc_ids.size and doc_ids[at] == doc:
+            got.append(flat[offsets[at] : offsets[at + 1]])
+    return np.unique(np.concatenate(got)).astype(np.int64) if got else np.empty(0, np.int64)
+
+
+def ordered_match(pos: dict, clauses: list[list[str]], cand: np.ndarray, slop: int) -> np.ndarray:
+    """Mask over ``cand``: the ordered span_near chain. Each clause keeps
+    a position p only when the previous clause kept one in
+    ``[p - slop - 1, p - 1]``; the doc matches when the last clause keeps
+    any (``slop=0`` = exact phrase)."""
+    out = np.zeros(cand.size, dtype=bool)
+    for i, d in enumerate(cand):
+        prev = None
+        for c in clauses:
+            p = clause_positions(pos, c, d)
+            if prev is not None:
+                lo = np.searchsorted(prev, p - slop - 1, side="left")
+                hi = np.searchsorted(prev, p - 1, side="right")
+                p = p[hi > lo]
+            if p.size == 0:
+                break
+            prev = p
+        else:
+            out[i] = True
+    return out
+
+
+def unordered_match(pos: dict, clauses: list[list[str]], cand: np.ndarray, slop: int) -> np.ndarray:
+    """Mask over ``cand``: span_near with ``in_order: false``. The doc
+    matches iff its MINIMAL position window holding one occurrence of
+    every clause has ``width − n_clauses ≤ slop`` (Lucene's
+    unordered-span slop rule); a repeated clause needs that many
+    DISTINCT positions inside the window. Classic minimum-covering-window
+    sweep with multiplicities over the merged position lists of each
+    candidate — O(positions) per doc."""
+    from collections import Counter
+
+    need_by = Counter(tuple(c) for c in clauses)
+    distinct = sorted(need_by)
+    need = np.array([need_by[c] for c in distinct], dtype=np.int64)
+    nt = len(distinct)
+    out = np.zeros(cand.size, dtype=bool)
+    for i, d in enumerate(cand):
+        arrs = [clause_positions(pos, c, d) for c in distinct]
+        ps = np.concatenate(arrs)
+        cs = np.repeat(np.arange(nt), [a.size for a in arrs])
+        order = np.argsort(ps, kind="mergesort")
+        ps, cs = ps[order], cs[order]
+        counts = np.zeros(nt, dtype=np.int64)
+        covered, lo, best = 0, 0, None
+        for hi in range(ps.size):
+            counts[cs[hi]] += 1
+            if counts[cs[hi]] == need[cs[hi]]:
+                covered += 1
+            while covered == nt:
+                w = int(ps[hi] - ps[lo] + 1)
+                best = w if best is None or w < best else best
+                counts[cs[lo]] -= 1
+                if counts[cs[lo]] == need[cs[lo]] - 1:
+                    covered -= 1
+                lo += 1
+        out[i] = best is not None and best - len(clauses) <= slop
+    return out
+
+
+def near_match(r: IndexReader, want: list[str], slop: int = 0, in_order: bool = True,
+               cand: np.ndarray | None = None) -> np.ndarray:
+    """The sorted docs (among ``cand``, when given) that hold the
+    analyzed terms ``want`` within ``slop``: in order with every
+    consecutive gap ≤ ``slop`` (:func:`ordered_match`), or in any order
+    (:func:`unordered_match`)."""
+    postings = r.load_postings(sorted(set(want)))
+    clauses = [[t] for t in want]
+    docs = clause_candidates(postings, clauses)
+    if cand is not None:
+        docs = np.intersect1d(docs, cand)
+    if docs.size == 0:
+        return docs
+    pos = {t: r.load_positions(t) for t in postings}
+    return docs[(ordered_match if in_order else unordered_match)(pos, clauses, docs, slop)]
+
+
+def near_hits(r: IndexReader, want: list[str], slop: int, k: int,
+              in_order: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """ES ``span_near`` over the analyzed terms ``want``: the top-k of
+    :func:`near_match`, ranked by the BM25 of the distinct terms."""
+    m = near_match(r, want, slop, in_order)
+    return topk_desc(m, score_at(list(r.load_postings(sorted(set(want))).values()), m), k)
 
 
 def attach_docmap(results_df: pd.DataFrame, index_dir: str) -> pd.DataFrame:

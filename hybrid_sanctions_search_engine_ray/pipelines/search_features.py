@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -42,15 +41,24 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 
 from hybrid_sanctions_search_engine_ray.config import DEFAULT_CONFIG, EngineConfig
-from hybrid_sanctions_search_engine_ray.functions.bm25 import score_all, topk_desc
+from hybrid_sanctions_search_engine_ray.functions.bm25 import (
+    score_all,
+    score_at,
+    sorted_member,
+    topk_desc,
+)
 from hybrid_sanctions_search_engine_ray.pipelines.query import (
     RESULT_COLUMNS,
     IndexReader,
     Scorer,
     _result_frame,
-    _sorted_member,
+    clause_candidates,
+    clause_positions,
     load_terms,
     map_scorer,
+    near_hits,
+    near_match,
+    ordered_match,
 )
 from hybrid_sanctions_search_engine_ray.stages.analyze import DOC_SENTINEL
 from hybrid_sanctions_search_engine_ray.stages.postings import read_segments
@@ -298,7 +306,7 @@ class BoostingScorer(Scorer):
         neg_postings = self.reader.load_postings(sorted(set(self.reader.analyzer(row["negative"]))))
         if neg_postings:
             neg_docs = np.unique(np.concatenate([p.doc_ids for p in neg_postings.values()]))
-            hit = _sorted_member(neg_docs, docs)
+            hit = sorted_member(neg_docs, docs)
             scores = np.where(hit, scores * self.negative_boost, scores)
         return topk_desc(docs, scores, k)
 
@@ -310,47 +318,6 @@ def boosting_search(queries_ds, index_dir: str, negative_boost: float = 0.5,
 
 
 # --- top-window rescoring ------------------------------------------------------
-
-
-def _phrase_match_mask(reader: IndexReader, want: list[str], cand: np.ndarray,
-                       slop: int = 0) -> np.ndarray:
-    """Boolean mask over ``cand`` (int64 doc ids): does the doc contain
-    the token sequence ``want`` with every consecutive gap at most
-    ``slop`` (``slop=0`` = exact contiguous phrase)? Positional-postings
-    chain, same semantics as query._phrase_positional generalized to an
-    in-order proximity window (ES ``span_near`` with ``in_order: true``)
-    and restricted to the given candidates, so cost is
-    O(candidates × terms)."""
-    uniq = sorted(set(want))
-    postings = reader.load_postings(uniq)
-    out = np.zeros(cand.size, dtype=bool)
-    if len(postings) < len(uniq):
-        return out
-    member = np.ones(cand.size, dtype=bool)
-    for t in uniq:
-        member &= _sorted_member(postings[t].doc_ids, cand.astype(np.uint64))
-    pos = {t: reader.load_positions(t) for t in uniq}
-    if any(p is None for p in pos.values()):
-        raise ValueError("positional matching requires an index built with store_positions=True")
-    for i in np.flatnonzero(member):
-        d = cand[i]
-        prev: np.ndarray | None = None
-        for t in want:
-            doc_ids, offsets, flat = pos[t]
-            at = int(np.searchsorted(doc_ids, d))
-            p_t = flat[offsets[at] : offsets[at + 1]].astype(np.int64)
-            if prev is not None:
-                # keep p with some previous position in [p - slop - 1, p - 1]
-                lo = np.searchsorted(prev, p_t - slop - 1, side="left")
-                hi = np.searchsorted(prev, p_t - 1, side="right")
-                p_t = p_t[hi > lo]
-            if p_t.size == 0:
-                prev = p_t
-                break
-            prev = p_t
-        if prev is not None and prev.size:
-            out[i] = True
-    return out
 
 
 class RescoreScorer(Scorer):
@@ -374,9 +341,8 @@ class RescoreScorer(Scorer):
         if docs.size == 0:
             return None
         wdocs, wscores = topk_desc(docs, scores, self.window)
-        want = self.reader.analyzer(row["query_text"])
-        bonus = _phrase_match_mask(self.reader, want, wdocs.astype(np.int64))
-        return topk_desc(wdocs, wscores + self.weight * bonus, k)
+        phrase = near_match(self.reader, self.reader.analyzer(row["query_text"]), cand=wdocs)
+        return topk_desc(wdocs, wscores + self.weight * sorted_member(phrase, wdocs), k)
 
 
 def rescore_search(queries_ds, index_dir: str, window: int = 50, weight: float = 2.0,
@@ -448,13 +414,11 @@ class ExplainScorer(Scorer):
         d, _ = topk_desc(docs, scores, k)
         ranks, ids, terms, contribs = [], [], [], []
         for t, p in postings.items():  # term order
-            idx = np.searchsorted(p.doc_ids, d)
-            safe = np.minimum(idx, p.doc_ids.size - 1)
-            j = np.flatnonzero((idx < p.doc_ids.size) & (p.doc_ids[safe] == d))
+            j = np.flatnonzero(sorted_member(p.doc_ids, d))
             ranks.append(j + 1)
             ids.append(d[j])
             terms.append(np.full(j.size, t, dtype=object))
-            contribs.append(p.factors[idx[j]] * p.idf)
+            contribs.append(score_at([p], d[j]))
         return tuple(map(np.concatenate, (ranks, ids, terms, contribs)))
 
 
@@ -483,7 +447,7 @@ def term_vectors(index_dir: str, doc_ids: list[int], texts: dict[int, str]) -> p
     rows = []
     for d in sorted(per_doc):
         for t in sorted(per_doc[d]):
-            raw = r._raw.get(t)
+            raw = r.load_raw(t)
             df = int(raw[0].size) if raw is not None else 0
             rows.append((d, t, int(per_doc[d][t]), df))
     return pd.DataFrame(rows, columns=["doc_id", "term", "tf", "df"]).astype(
@@ -518,65 +482,6 @@ def adjacency_matrix(index_dir: str, filters: dict[str, str]) -> pd.DataFrame:
 # --- span_near (in-order proximity) ------------------------------------------
 
 
-def _unordered_match_mask(reader: IndexReader, want: list[str], cand: np.ndarray,
-                          slop: int) -> np.ndarray:
-    """ES ``span_near`` with ``in_order: false``: the doc matches iff its
-    MINIMAL position window containing one occurrence of EVERY span
-    clause satisfies ``width − n_clauses ≤ slop`` (Lucene's
-    unordered-span slop rule). A repeated query term is a repeated
-    clause: it needs that many DISTINCT positions inside the window.
-    Classic minimum-covering-window sweep with multiplicities over the
-    merged per-term position lists of each candidate — O(positions) per doc,
-    candidates only."""
-    from collections import Counter
-
-    uniq = sorted(set(want))
-    need_by_term = Counter(want)
-    postings = reader.load_postings(uniq)
-    out = np.zeros(cand.size, dtype=bool)
-    if len(postings) < len(uniq) or not uniq:
-        return out
-    member = np.ones(cand.size, dtype=bool)
-    for t in uniq:
-        member &= _sorted_member(postings[t].doc_ids, cand.astype(np.uint64))
-    pos = {t: reader.load_positions(t) for t in uniq}
-    if any(p is None for p in pos.values()):
-        raise ValueError("positional matching requires an index built with store_positions=True")
-    nt = len(uniq)
-    need = np.array([need_by_term[t] for t in uniq], dtype=np.int64)
-    n_clauses = len(want)
-    for i in np.flatnonzero(member):
-        d = cand[i]
-        arrs: list[np.ndarray] = []
-        codes: list[np.ndarray] = []
-        for ci, t in enumerate(uniq):
-            doc_ids, offsets, flat = pos[t]
-            at = int(np.searchsorted(doc_ids, d))
-            p_t = flat[offsets[at]: offsets[at + 1]].astype(np.int64)
-            arrs.append(p_t)
-            codes.append(np.full(p_t.size, ci, dtype=np.int64))
-        ps = np.concatenate(arrs)
-        cs = np.concatenate(codes)
-        order = np.argsort(ps, kind="mergesort")
-        ps, cs = ps[order], cs[order]
-        counts = np.zeros(nt, dtype=np.int64)
-        covered, lo, best = 0, 0, None
-        for hi in range(ps.size):
-            counts[cs[hi]] += 1
-            if counts[cs[hi]] == need[cs[hi]]:
-                covered += 1
-            while covered == nt:
-                w = int(ps[hi] - ps[lo] + 1)
-                best = w if best is None or w < best else best
-                counts[cs[lo]] -= 1
-                if counts[cs[lo]] == need[cs[lo]] - 1:
-                    covered -= 1
-                lo += 1
-        if best is not None and best - n_clauses <= slop:
-            out[i] = True
-    return out
-
-
 class SpanNearScorer(Scorer):
     """ES ``span_near``: docs containing every query term within a
     proximity window. ``in_order=True`` (default) requires the terms in
@@ -594,22 +499,8 @@ class SpanNearScorer(Scorer):
         self.in_order = in_order
 
     def hits(self, row: dict, k: int):
-        slop = int(row.get("slop", self.default_slop))
-        want = self.reader.analyzer(row["query_text"])
-        uniq = sorted(set(want))
-        postings = self.reader.load_postings(uniq)
-        if len(postings) < len(uniq) or not uniq:
-            return None
-        cand = reduce(np.intersect1d, [postings[t].doc_ids for t in uniq]).astype(np.int64)
-        if cand.size == 0:
-            return None
-        match = _phrase_match_mask if self.in_order else _unordered_match_mask
-        m = cand[match(self.reader, want, cand, slop=slop)].astype(np.uint64)
-        scores = np.zeros(m.size, dtype=np.float64)
-        for p in postings.values():
-            at = np.searchsorted(p.doc_ids, m)
-            scores += p.factors[at] * p.idf  # every cand matches every term
-        return topk_desc(m, scores, k)
+        return near_hits(self.reader, self.reader.analyzer(row["query_text"]),
+                         int(row.get("slop", self.default_slop)), k, self.in_order)
 
 
 def span_near_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG,
@@ -645,65 +536,16 @@ class SpanOrNearScorer(Scorer):
             {t for row in rows for clause in self._parse(row["query_text"]) for t in clause}))
 
     def hits(self, row: dict, k: int):
-        slop = int(row.get("slop", self.default_slop))
         clauses = self._parse(row["query_text"])
-        postings = self.reader.load_postings(
-            sorted({t for c in clauses for t in c}))
-        # candidates: docs with >=1 member of every clause
-        cand = None
-        clause_terms: list[list[str]] = []
-        for c in clauses:
-            have = [t for t in c if t in postings]
-            if not have:
-                cand = np.empty(0, np.int64)
-                clause_terms.append([])
-                continue
-            clause_terms.append(have)
-            u = np.unique(np.concatenate(
-                [postings[t].doc_ids.astype(np.int64) for t in have]))
-            cand = u if cand is None else np.intersect1d(cand, u)
-        if cand is None or cand.size == 0:
+        postings = self.reader.load_postings(sorted({t for c in clauses for t in c}))
+        cand = clause_candidates(postings, clauses)
+        if cand.size == 0:
             return None
-        pos = {t: self.reader.load_positions(t)
-               for c in clause_terms for t in c}
-        if any(p is None for p in pos.values()):
-            raise ValueError(
-                "span_or/near requires an index built with store_positions=True")
-        hit = np.zeros(cand.size, dtype=bool)
-        for ci in range(cand.size):
-            d = cand[ci]
-            prev: np.ndarray | None = None
-            ok = True
-            for c in clause_terms:
-                plists = []
-                for t in c:
-                    doc_ids, offsets, flat = pos[t]
-                    at = int(np.searchsorted(doc_ids, d))
-                    if at < doc_ids.size and doc_ids[at] == d:
-                        plists.append(flat[offsets[at]: offsets[at + 1]].astype(np.int64))
-                p_t = (np.unique(np.concatenate(plists))
-                       if plists else np.empty(0, np.int64))
-                if prev is not None and p_t.size:
-                    lo = np.searchsorted(prev, p_t - slop - 1, side="left")
-                    hi = np.searchsorted(prev, p_t - 1, side="right")
-                    p_t = p_t[hi > lo]
-                if p_t.size == 0:
-                    ok = False
-                    break
-                prev = p_t
-            hit[ci] = ok
-        m = cand[hit].astype(np.uint64)
+        pos = {t: self.reader.load_positions(t) for t in postings}
+        m = cand[ordered_match(pos, clauses, cand, int(row.get("slop", self.default_slop)))]
         scores = np.zeros(m.size, dtype=np.float64)
-        for c in clause_terms:
-            best = np.full(m.size, -np.inf)
-            for t in c:
-                p = postings[t]
-                at = np.searchsorted(p.doc_ids, m)
-                safe = np.minimum(at, p.doc_ids.size - 1)
-                present = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-                sc = np.where(present, p.factors[safe] * p.idf, -np.inf)
-                best = np.maximum(best, sc)
-            scores += best
+        for c in clauses:  # the best member of each clause
+            scores += np.max([score_at([postings[t]], m) for t in c if t in postings], axis=0)
         return topk_desc(m, scores, k)
 
 
@@ -770,11 +612,7 @@ class ConstantScoreScorer(Scorer):
 
     def hits(self, row: dict, k: int):
         uniq = sorted(set(self.reader.analyzer(row["query_text"])))
-        postings = self.reader.load_postings(uniq)
-        if len(postings) < len(uniq) or not uniq:
-            return None
-        cand = reduce(np.intersect1d, [postings[t].doc_ids for t in uniq]).astype(np.int64)
-        d = np.sort(cand)[:k]
+        d = clause_candidates(self.reader.load_postings(uniq), [[t] for t in uniq])[:k]
         return d, np.full(d.size, self.boost)
 
 
@@ -1423,61 +1261,19 @@ class PhrasePrefixScorer(Scorer):
 
     def hits(self, row: dict, k: int):
         fixed, alts = self.specs[row["query_id"]]
-        fixed_postings = self.reader.load_postings(sorted(set(fixed)))
-        if len(fixed_postings) < len(set(fixed)) or not alts:
-            return None
-        alt_postings = self.reader.load_postings(sorted(set(alts)))
-        if not alt_postings:
-            return None
-        alt_union = np.unique(np.concatenate([p.doc_ids for p in alt_postings.values()]))
-        if fixed_postings:
-            cand = reduce(np.intersect1d, [p.doc_ids for p in fixed_postings.values()])
-            cand = np.intersect1d(cand, alt_union).astype(np.int64)
-        else:
-            # single-token phrase prefix == plain prefix match
-            cand = alt_union.astype(np.int64)
+        # scores sum the fixed terms first, then the other expansions
+        postings = {**self.reader.load_postings(sorted(set(fixed))),
+                    **self.reader.load_postings(sorted(set(alts)))}
+        # the expansion set is the last clause: an expansion term that
+        # ALSO appears in fixed still counts at the final position
+        # (oracle parity: pl.term LIKE 'pre%')
+        clauses = [[t] for t in fixed] + [alts]
+        cand = clause_candidates(postings, clauses)
         if cand.size == 0:
             return None
-        pos = {t: self.reader.load_positions(t) for t in set(fixed) | set(alt_postings)}
-        if any(p is None for p in pos.values()):
-            raise ValueError("match_phrase_prefix requires store_positions=True")
-        matched: list[int] = []
-        for d in cand:
-            prev: np.ndarray | None = None
-            ok = True
-            for t in fixed:
-                doc_ids, offsets, flat = pos[t]
-                at = int(np.searchsorted(doc_ids, d))
-                p_t = flat[offsets[at] : offsets[at + 1]].astype(np.int64)
-                if prev is not None:
-                    p_t = p_t[np.isin(p_t - 1, prev)]
-                if p_t.size == 0:
-                    ok = False
-                    break
-                prev = p_t
-            if not ok:
-                continue
-            if prev is None:  # no fixed tokens: any expansion position matches
-                matched.append(int(d))
-                continue
-            # an expansion term that ALSO appears in fixed still counts
-            # at the final position (oracle parity: pl.term LIKE 'pre%')
-            for t in alt_postings:
-                doc_ids, offsets, flat = pos[t]
-                at = int(np.searchsorted(doc_ids, d))
-                if at < doc_ids.size and doc_ids[at] == d:
-                    p_t = flat[offsets[at] : offsets[at + 1]].astype(np.int64)
-                    if np.isin(p_t - 1, prev).any():
-                        matched.append(int(d))
-                        break
-        m = np.array(matched, dtype=np.uint64)
-        scores = np.zeros(m.size, dtype=np.float64)
-        for p in {**fixed_postings, **alt_postings}.values():
-            at = np.searchsorted(p.doc_ids, m)
-            safe = np.minimum(at, p.doc_ids.size - 1)
-            hit = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-            scores[hit] += p.factors[at[hit]] * p.idf
-        return topk_desc(m, scores, k)
+        pos = {t: self.reader.load_positions(t) for t in postings}
+        m = cand[ordered_match(pos, clauses, cand, 0)]
+        return topk_desc(m, score_at(list(postings.values()), m), k)
 
 
 def match_phrase_prefix(queries: dict[str, str], index_dir: str,
@@ -1795,10 +1591,7 @@ class SpanFirstScorer(Scorer):
         p = self.reader.load_postings(terms).get(terms[0])
         if p is None or p.doc_ids.size == 0:
             return None
-        loaded = self.reader.load_positions(terms[0])
-        if loaded is None:
-            raise ValueError("span_first requires store_positions=True")
-        pos_docs, offsets, flat = loaded
+        pos_docs, offsets, flat = self.reader.load_positions(terms[0])
         at = np.searchsorted(pos_docs, p.doc_ids.astype(pos_docs.dtype))
         first_pos = flat[offsets[at]]  # positions sorted per doc
         hit = first_pos < end
@@ -1900,20 +1693,12 @@ class SpanNotScorer(Scorer):
         if pe is None or pe.doc_ids.size == 0:
             hit = np.ones(cand.size, dtype=bool)
         else:
-            both = _sorted_member(pe.doc_ids, cand)
+            both = sorted_member(pe.doc_ids, cand)
             hit = ~both  # no exclude term anywhere → clean match
-            li = self.reader.load_positions(inc[0])
-            le = self.reader.load_positions(exc[0])
-            if li is None or le is None:
-                raise ValueError("span_not requires store_positions=True")
+            pos = {t: self.reader.load_positions(t) for t in (inc[0], exc[0])}
             for j in np.flatnonzero(both):
-                d = cand[j]
-                di, oi, fi = li
-                de, oe, fe = le
-                ai = int(np.searchsorted(di, d))
-                ae = int(np.searchsorted(de, d))
-                pos_i = fi[oi[ai]: oi[ai + 1]].astype(np.int64)
-                pos_e = fe[oe[ae]: oe[ae + 1]].astype(np.int64)
+                pos_i = clause_positions(pos, inc, cand[j])
+                pos_e = clause_positions(pos, exc, cand[j])
                 # nearest exclude occurrence per include position
                 at = np.searchsorted(pos_e, pos_i)
                 lo = pos_e[np.maximum(at - 1, 0)]
@@ -1966,25 +1751,13 @@ class SpanContainScorer(Scorer):
             )
         terms = [big[0], big[1], lit[0]]
         postings = self.reader.load_postings(sorted(set(terms)))
-        if any(t not in postings for t in terms):
-            return None
-        cand = reduce(
-            np.intersect1d,
-            [postings[t].doc_ids for t in sorted(set(terms))],
-        ).astype(np.int64)
+        cand = clause_candidates(postings, [[t] for t in terms])
         if cand.size == 0:
             return None
-        pos = {t: self.reader.load_positions(t) for t in set(terms)}
-        if any(p is None for p in pos.values()):
-            raise ValueError(
-                "span_containing/within requires store_positions=True")
+        pos = {t: self.reader.load_positions(t) for t in postings}
         hit = np.zeros(cand.size, dtype=bool)
         for j, d in enumerate(cand):
-            pos_a, pos_b, pos_lit = (
-                _doc_positions(pos[t], int(d)) for t in terms
-            )
-            if pos_a.size == 0 or pos_b.size == 0 or pos_lit.size == 0:
-                continue
+            pos_a, pos_b, pos_lit = (clause_positions(pos, [t], d) for t in terms)
             # largest in-window pos_b per pos_a: pos_b in [pos_a+1, pos_a+slop+1]
             hi_at = np.searchsorted(pos_b, pos_a + slop + 1, side="right") - 1
             safe = np.maximum(hi_at, 0)
@@ -1995,21 +1768,9 @@ class SpanContainScorer(Scorer):
                 - np.searchsorted(pos_lit, pos_a, side="left")
             ) > 0
             hit[j] = bool((valid & c_in).any())
-        m = cand[hit].astype(np.uint64)
+        m = cand[hit]
         score_terms = big if self.mode == "containing" else lit
-        scores = np.zeros(m.size, dtype=np.float64)
-        for t in score_terms:
-            p = postings[t]
-            at = np.searchsorted(p.doc_ids, m)
-            scores += p.factors[at] * p.idf
-        return topk_desc(m, scores, k)
-
-
-def _doc_positions(loaded, doc_id: int) -> np.ndarray:
-    """Sorted position list of one doc from a loaded positions triple."""
-    doc_ids, offsets, flat = loaded
-    at = int(np.searchsorted(doc_ids, doc_id))
-    return flat[offsets[at]: offsets[at + 1]].astype(np.int64)
+        return topk_desc(m, score_at([postings[t] for t in score_terms], m), k)
 
 
 def span_contain_search(queries_ds, index_dir: str, mode: str = "containing",
@@ -2046,12 +1807,9 @@ class RankEvalScorer(Scorer):
         postings = self.reader.load_postings(terms)
         docs, scores = score_all(list(postings.values()))
         top, _ = topk_desc(docs, scores, self.k)
-        if len(postings) == len(terms) and terms:
-            rel = reduce(np.intersect1d, [postings[t].doc_ids for t in terms])
-        else:
-            rel = np.empty(0, dtype=np.uint64)
+        rel = clause_candidates(postings, [[t] for t in terms])
         n_rel = int(rel.size)
-        hit_ranks = 1 + np.flatnonzero(_sorted_member(rel, top))  # 1-based
+        hit_ranks = 1 + np.flatnonzero(sorted_member(rel, top))  # 1-based
         prec = hit_ranks.size / float(self.k)
         mrr = 1.0 / float(hit_ranks[0]) if hit_ranks.size else 0.0
         dcg = float((1.0 / np.log2(hit_ranks + 1.0)).sum()) if hit_ranks.size else 0.0
@@ -2203,16 +1961,7 @@ class LuceneScorer(Scorer):
             p = self.reader.load_postings([node[1]]).get(node[1])
             return p.doc_ids if p is not None else np.empty(0, dtype=np.uint64)
         if kind == "phrase":
-            want = node[1]
-            uniq = sorted(set(want))
-            postings = self.reader.load_postings(uniq)
-            if len(postings) < len(uniq) or not uniq:
-                return np.empty(0, dtype=np.uint64)
-            cand = reduce(np.intersect1d, [postings[t].doc_ids for t in uniq]).astype(np.int64)
-            if cand.size == 0:
-                return np.empty(0, dtype=np.uint64)
-            hit = _phrase_match_mask(self.reader, want, cand, slop=0)
-            return cand[hit].astype(np.uint64)
+            return near_match(self.reader, node[1])
         if kind == "or":
             out = np.empty(0, dtype=np.uint64)
             for c in node[1]:
@@ -2242,13 +1991,8 @@ class LuceneScorer(Scorer):
         m = np.asarray(self._docs(ast), dtype=np.uint64)
         if m.size == 0:
             return None
-        scores = np.zeros(m.size, dtype=np.float64)
-        for p in self.reader.load_postings(sorted(_ast_terms(ast))).values():
-            at = np.searchsorted(p.doc_ids, m)
-            safe = np.minimum(at, max(p.doc_ids.size - 1, 0))
-            hit = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-            scores[hit] += p.factors[at[hit]] * p.idf
-        return topk_desc(m, scores, k)
+        postings = self.reader.load_postings(sorted(_ast_terms(ast)))
+        return topk_desc(m, score_at(list(postings.values()), m), k)
 
 
 def lucene_search(queries_ds, index_dir: str, cfg: EngineConfig = DEFAULT_CONFIG):
@@ -2283,63 +2027,31 @@ class IntervalsScorer(Scorer):
 
     def hits(self, row: dict, k: int):
         max_gaps, clauses = self.specs[row["query_id"]]
-        n = len(clauses)
-        # candidates: docs matching ≥1 term of EVERY clause
-        clause_docs = []
-        for c in clauses:
-            ps = self.reader.load_postings(sorted(set(c)))
-            if not ps:
-                clause_docs.append(np.empty(0, dtype=np.uint64))
-            else:
-                clause_docs.append(
-                    np.unique(np.concatenate([p.doc_ids for p in ps.values()]))
-                )
-        cand = reduce(np.intersect1d, clause_docs).astype(np.int64)
+        postings = self.reader.load_postings(sorted({t for c in clauses for t in c}))
+        cand = clause_candidates(postings, clauses)
         if cand.size == 0:
             return None
-        pos = {t: self.reader.load_positions(t) for c in clauses for t in c}
-        if any(p is None for p in pos.values()):
-            raise ValueError("intervals requires store_positions=True")
+        pos = {t: self.reader.load_positions(t) for t in postings}
+        widths = [_narrowest_all_of([clause_positions(pos, c, d) for c in clauses]) for d in cand]
+        m = cand[np.array([w is not None and w - len(clauses) <= max_gaps for w in widths])]
+        return topk_desc(m, score_at(list(postings.values()), m), k)
 
-        def clause_positions(c: list, d: int) -> np.ndarray:
-            arrs = []
-            for t in c:
-                di, oi, fi = pos[t]
-                at = int(np.searchsorted(di, d))
-                if at < di.size and di[at] == d:
-                    arrs.append(fi[oi[at]: oi[at + 1]].astype(np.int64))
-            return np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
 
-        hit = np.zeros(cand.size, dtype=bool)
-        for j, d in enumerate(cand):
-            plists = [clause_positions(c, int(d)) for c in clauses]
-            if any(p.size == 0 for p in plists):
-                continue
-            best = None
-            for p1 in plists[0]:
-                prev = p1
-                ok = True
-                for ci in range(1, n):
-                    nxt_at = int(np.searchsorted(plists[ci], prev + 1))
-                    if nxt_at >= plists[ci].size:
-                        ok = False
-                        break
-                    prev = int(plists[ci][nxt_at])  # greedy smallest next
-                if not ok:
-                    break  # later p1 only start later — no chain can complete
-                w = prev - int(p1) + 1
-                best = w if best is None or w < best else best
-            if best is not None and best - n <= max_gaps:
-                hit[j] = True
-        m = cand[hit].astype(np.uint64)
-        scores = np.zeros(m.size, dtype=np.float64)
-        terms = sorted({t for c in clauses for t in c})
-        for p in self.reader.load_postings(terms).values():
-            at = np.searchsorted(p.doc_ids, m)
-            safe = np.minimum(at, max(p.doc_ids.size - 1, 0))
-            ok = (at < p.doc_ids.size) & (p.doc_ids[safe] == m)
-            scores[ok] += p.factors[at[ok]] * p.idf
-        return topk_desc(m, scores, k)
+def _narrowest_all_of(plists: list[np.ndarray]) -> int | None:
+    """Width of the narrowest interval p1 < p2 < … with pᵢ from
+    ``plists[i]``, or None when there is none. From each start p1 the
+    greedy smallest-next chain is the narrowest; once a start cannot
+    complete a chain, no later start can."""
+    best = None
+    for p1 in plists[0]:
+        prev = int(p1)
+        for pl in plists[1:]:
+            at = int(np.searchsorted(pl, prev + 1))
+            if at == pl.size:
+                return best
+            prev = int(pl[at])
+        best = prev - int(p1) + 1 if best is None else min(best, prev - int(p1) + 1)
+    return best
 
 
 def intervals_search(queries_ds, index_dir: str, specs: dict,
