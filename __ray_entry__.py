@@ -1573,7 +1573,7 @@ def q_prox_boost(sf_dir: str):
     d_min from the tokpos self-join."""
     from hybrid_sanctions_search_engine_ray.functions.bm25 import idf as _idf
     from hybrid_sanctions_search_engine_ray.functions.bm25 import tf_factor
-    from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader
+    from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader, clause_positions
 
     index_dir = _ensure_index(sf_dir, positional=True)
     reader = IndexReader(index_dir)
@@ -1581,7 +1581,7 @@ def q_prox_boost(sf_dir: str):
     rows = []
     for qid, (t1, t2) in _PROX_PAIRS.items():
         p1, p2 = reader.load_raw(t1), reader.load_raw(t2)
-        pos1, pos2 = reader.load_positions(t1), reader.load_positions(t2)
+        pos = {t: reader.load_positions(t) for t in (t1, t2)}
         if p1 is None or p2 is None:
             continue
         d1, tf1, dl1 = p1
@@ -1591,14 +1591,10 @@ def q_prox_boost(sf_dir: str):
             continue
         s1 = tf_factor(tf1[i1], dl1[i1], m.k1, m.b, m.avgdl) * float(_idf(m.n_docs, int(d1.size)))
         s2 = tf_factor(tf2[i2], dl2[i2], m.k1, m.b, m.avgdl) * float(_idf(m.n_docs, int(d2.size)))
-        pd1, off1, fl1 = pos1
-        pd2, off2, fl2 = pos2
-        j1 = np.searchsorted(pd1, common)
-        j2 = np.searchsorted(pd2, common)
         boosts = np.empty(common.size, np.float64)
-        for x in range(common.size):
-            a = fl1[off1[j1[x]]:off1[j1[x] + 1]].astype(np.int64)
-            b = fl2[off2[j2[x]]:off2[j2[x] + 1]].astype(np.int64)
+        for x, doc in enumerate(common):
+            a = clause_positions(pos, [t1], doc)
+            b = clause_positions(pos, [t2], doc)
             # min |a_i - b_j| via merge: nearest b around each a
             ins = np.searchsorted(b, a)
             cand = []

@@ -19,6 +19,15 @@ def term_hash(term: str) -> int:
     return zlib.crc32(term.encode("utf-8"))
 
 
+def salted_partition(h, salt, num_partitions: int):
+    """The partition of a hot term's postings in salt bucket ``salt``
+    (term hash ``h``; ints or int64 arrays): the one placement rule that
+    the writer (stages/postings.assign_partitions) and the reader
+    (IndexReader._parts_for) share. A term's base partition is
+    ``h % num_partitions``."""
+    return (h + 1_000_003 * (1 + salt)) % num_partitions
+
+
 def factorize_exact(values) -> tuple[np.ndarray, np.ndarray]:
     """NUL-exact string factorization: (codes, uniques) like
     ``pd.factorize(..., use_na_sentinel=False)`` but via Arrow
@@ -43,10 +52,6 @@ def factorize_exact(values) -> tuple[np.ndarray, np.ndarray]:
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     uniques = np.asarray(enc.dictionary.to_pylist(), dtype=object)
     return codes, uniques
-
-
-def term_partition(term: str, num_partitions: int) -> int:
-    return term_hash(term) % num_partitions
 
 
 def hash_string_array(arr: pa.Array | list[str]) -> np.ndarray:

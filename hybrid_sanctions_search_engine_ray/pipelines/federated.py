@@ -22,7 +22,10 @@ operation: build a delta index over new conversations, query the
 federation, compact when convenient.
 
 ``doc_id_offsets`` lifts each sub-index's dense local ids into one
-global id space (offset by the cumulative doc counts by default).
+global id space (offset by the cumulative doc counts by default). Each
+sub-index's deletes are its own: its reader's ``IndexReader.live`` (the
+one visibility rule) keeps its tombstoned docs out of the results, while
+df_global still counts them until that sub-index is compacted.
 """
 
 from __future__ import annotations
@@ -80,22 +83,17 @@ class FederatedReader:
         # factors must be recomputed against the GLOBAL avgdl, so pull the
         # raw (doc_ids, tf, dl) arrays from each sub-reader's decode cache.
         # df_global sums the UNFILTERED per-shard df (Lucene's
-        # deleted-until-merge stats), while each shard's tombstoned docs
-        # are excluded from the merged candidates — so a single-shard
+        # deleted-until-merge stats), while each shard's reader keeps only
+        # its live docs in the merged candidates — so a single-shard
         # federation scores identically to querying the shard directly.
-        from hybrid_sanctions_search_engine_ray.pipelines.maintenance import tombstone_mask
-
         doc_ids, tfs, dls = [], [], []
         df_global = 0
         for reader, off in zip(self.readers, self.offsets):
             raw = reader.load_raw(term)
             if raw is None:
                 continue
-            d, t, l = raw
-            df_global += int(d.size)
-            if reader.tombstones.size:
-                keep = ~tombstone_mask(reader.tombstones, d)
-                d, t, l = d[keep], t[keep], l[keep]
+            df_global += int(raw[0].size)
+            d, t, l = reader.live(*raw)  # noqa: E741
             if d.size == 0:
                 continue
             doc_ids.append(d.astype(np.uint64) + np.uint64(off))

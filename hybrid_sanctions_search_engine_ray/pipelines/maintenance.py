@@ -7,12 +7,14 @@ index-swap flow, SURVEY.md §2.1 S8):
 
 * :func:`delete_docs` — record doc ids in ``tombstones.json`` (atomic
   write under an ``fcntl`` file lock, so concurrent deleters compose).
-  Queries exclude tombstoned docs immediately; corpus statistics
-  (N, avgdl, df/idf) intentionally still count them — exactly Lucene's
-  deleted-docs-until-merge behavior, which keeps scoring stable between
-  maintenance windows. The JSON set is fine for realistic delete volumes
-  (tombstones ≪ corpus); a parquet set with the same semantics is the
-  upgrade path past ~10⁷ pending deletes.
+  Queries exclude tombstoned docs immediately: ``IndexReader.live``
+  (pipelines/query.py) is the one visibility rule every result path
+  goes through. Corpus statistics (N, avgdl, df/idf) intentionally
+  still count them — exactly Lucene's deleted-docs-until-merge
+  behavior, which keeps scoring stable between maintenance windows.
+  The JSON set is fine for realistic delete volumes (tombstones ≪
+  corpus); a parquet set with the same semantics is the upgrade path
+  past ~10⁷ pending deletes.
 * :func:`compact_index` — the "merge". Crash-safe three-phase protocol:
   (1) a read-only scan recovers each doomed doc's length from its
   posting rows (every row carries ``dl`` — no corpus re-read, no text
@@ -77,7 +79,7 @@ _PLAN_FILE = "compaction.json"
 
 def tombstone_mask(tomb: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
     """Boolean mask of ``doc_ids`` present in the SORTED ``tomb`` array —
-    the one membership test shared by the reader (query/positions paths)
+    the one membership test shared by the reader (``IndexReader.live``)
     and the compactor, so they can never disagree."""
     if tomb.size == 0 or doc_ids.size == 0:
         return np.zeros(doc_ids.size, dtype=bool)

@@ -47,7 +47,8 @@ from hybrid_sanctions_search_engine_ray.functions.bm25 import (
 )
 # unused here, but perfbench's decode span wraps it until ROADMAP #2
 from hybrid_sanctions_search_engine_ray.functions.codec import decode_posting  # noqa: F401
-from hybrid_sanctions_search_engine_ray.functions.hashing import term_hash
+from hybrid_sanctions_search_engine_ray.functions.hashing import salted_partition, term_hash
+from hybrid_sanctions_search_engine_ray.pipelines import maintenance
 from hybrid_sanctions_search_engine_ray.stages.postings import (
     decode_positions_column,
     decode_segment,
@@ -95,19 +96,30 @@ class IndexReader:
         self.analyzer = get_analyzer(
             AnalyzerConfig(mode=search_mode) if search_mode else self.cfg.analyzer
         )
-        # tombstoned docs are excluded from every result immediately;
-        # corpus stats (N, avgdl, df) still count them until
-        # compact_index runs — Lucene's deleted-until-merge semantics
-        # (pipelines/maintenance.py)
-        from hybrid_sanctions_search_engine_ray.pipelines.maintenance import (
-            load_pit_tombstones, load_tombstones)
-
+        # the docs :meth:`live` hides (pipelines/maintenance.py)
         self.tombstones = (
-            load_pit_tombstones(index_dir, pit_id) if pit_id is not None
-            else load_tombstones(index_dir)
+            maintenance.load_pit_tombstones(index_dir, pit_id) if pit_id is not None
+            else maintenance.load_tombstones(index_dir)
         )
         self._postings: dict[str, TermPosting | None] = {}
         self._raw: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray] | None] = {}
+
+    def live(self, doc_ids: np.ndarray, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The visibility rule: ``(doc_ids, *cols)`` restricted to the docs
+        this reader does not see as tombstoned (at its point in time).
+        Every query result passes through here, so a deleted doc leaves
+        every result at once, while corpus stats (N, avgdl, df) count it
+        until compact_index runs — Lucene's deleted-until-merge semantics.
+        The inputs come back as they are when none of their docs is
+        tombstoned."""
+        if self.tombstones.size == 0:
+            return (doc_ids, *cols)
+        # looked up when called, so a wrapped tombstone_mask is the one used
+        dead = maintenance.tombstone_mask(self.tombstones, doc_ids)
+        if not dead.any():
+            return (doc_ids, *cols)
+        keep = ~dead
+        return (doc_ids[keep], *(c[keep] for c in cols))
 
     # --- postings -----------------------------------------------------------
     # (df per term is derived from the segment rows themselves — Σ n_docs
@@ -118,10 +130,8 @@ class IndexReader:
         p = self.cfg.num_partitions
         if term not in self.hot:
             return [h % p]
-        parts = {h % p}
-        for salt in range(self.cfg.hot_term_salt_buckets):
-            parts.add((h + 1_000_003 * (1 + salt)) % p)
-        return sorted(parts)
+        return sorted({h % p, *(salted_partition(h, salt, p)
+                                for salt in range(self.cfg.hot_term_salt_buckets))})
 
     def load_postings(self, terms: list[str]) -> dict[str, TermPosting]:
         need = sorted({t for t in terms if t not in self._postings})
@@ -163,19 +173,10 @@ class IndexReader:
                 order = np.argsort(doc_ids, kind="stable")
                 doc_ids, tfs, dls = doc_ids[order], tfs[order], dls[order]
                 df = int(doc_ids.size)  # exact; counts tombstoned docs until compaction
-                # _raw stays UNFILTERED — it is the federation's df/score
-                # evidence (pipelines/federated.py applies each shard's
-                # tombstones itself, keeping federated == direct)
+                # _raw stays UNFILTERED — df, cttf and the federation's
+                # evidence are pre-tombstone statistics
                 self._raw[t] = (doc_ids, tfs, dls)
-                if self.tombstones.size:
-                    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import (
-                        tombstone_mask,
-                    )
-
-                    hit = tombstone_mask(self.tombstones, doc_ids)
-                    if hit.any():
-                        keep = ~hit
-                        doc_ids, tfs, dls = doc_ids[keep], tfs[keep], dls[keep]
+                doc_ids, tfs, dls = self.live(doc_ids, tfs, dls)
                 if doc_ids.size == 0:  # every posting tombstoned
                     self._postings[t] = None
                     continue
@@ -205,21 +206,19 @@ class IndexReader:
         doc_ids, counts, _, _ = decode_segment(tbl)
         flat, offs = decode_positions_column(tbl, counts)
         order = np.argsort(doc_ids, kind="stable")
-        if self.tombstones.size:  # same exclusion as load_postings
-            from hybrid_sanctions_search_engine_ray.pipelines.maintenance import tombstone_mask
-
-            order = order[~tombstone_mask(self.tombstones, doc_ids[order])]
+        doc_ids, order = self.live(doc_ids[order], order)
         if order.size == 0:
             return None
         counts = counts[order].astype(np.int64)
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         # each kept doc's positions, moved to its place in doc-id order
         src = np.repeat(offs[order] - offsets[:-1], counts) + np.arange(offsets[-1])
-        return doc_ids[order], offsets, flat[src]
+        return doc_ids, offsets, flat[src]
 
     def load_raw(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Decoded (doc_ids, tfs, doclens) for one term — the federation
-        building block (pipelines/federated.py)."""
+        """Decoded (doc_ids, tfs, doclens) for one term, tombstoned docs
+        included: the pre-tombstone statistics (df, cttf) and the
+        federation's building block. Results pass it through :meth:`live`."""
         if term not in self._raw:
             self.load_postings([term])
         return self._raw.get(term)
@@ -246,10 +245,6 @@ class IndexReader:
         # one partition-grouped read for ALL terms (the BM25 path's
         # batching — not a per-term parquet scan), which also fills _raw
         self.load_postings(terms)
-        if self.tombstones.size:
-            from hybrid_sanctions_search_engine_ray.pipelines.maintenance import (
-                tombstone_mask,
-            )
         d_parts: list[np.ndarray] = []
         s_parts: list[np.ndarray] = []
         for term in terms:  # query-term count, not posting count
@@ -259,15 +254,12 @@ class IndexReader:
             doc_ids, tfs, dls = raw
             # kernel sees the UNFILTERED posting (collection stats like
             # cttf count tombstoned docs until compaction — the same
-            # convention as df in the BM25 path), but tombstoned docs
-            # are excluded from the RESULTS (the documented reader
-            # invariant; code-review r05 finding)
+            # convention as df in the BM25 path); results keep live docs
             s = kernel(tfs.astype(np.float64), dls.astype(np.float64))
             keep = s > 0.0
-            if self.tombstones.size:
-                keep &= ~tombstone_mask(self.tombstones, doc_ids)
-            d_parts.append(doc_ids[keep])
-            s_parts.append(s[keep])
+            d, s = self.live(doc_ids[keep], s[keep])
+            d_parts.append(d)
+            s_parts.append(s)
         if not d_parts or not sum(x.size for x in d_parts):
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         alld = np.concatenate(d_parts)

@@ -59,6 +59,7 @@ from hybrid_sanctions_search_engine_ray.pipelines.query import (
     near_hits,
     near_match,
     ordered_match,
+    search,
 )
 from hybrid_sanctions_search_engine_ray.stages.analyze import DOC_SENTINEL
 from hybrid_sanctions_search_engine_ray.stages.postings import read_segments
@@ -137,16 +138,18 @@ def wildcard_search(patterns: dict[str, str], index_dir: str,
     rides the ordinary BM25 posting path as an OR query. Returns the
     usual results Dataset (query_id, rank, doc_id, score); patterns with
     zero dictionary matches yield no rows."""
+    return _search_expansions(expand_wildcards(index_dir, patterns), index_dir, cfg, top_k)
+
+
+def _search_expansions(expanded: dict[str, list[str]], index_dir: str,
+                       cfg: EngineConfig, top_k: int):
+    """The multi-term rewrite's tail, shared by wildcard, regexp and
+    fuzzy queries: each query's expansion terms run as one OR query on
+    the exhaustive BM25 path; a query without expansions yields no rows."""
     import ray.data as rd
 
-    from hybrid_sanctions_search_engine_ray.pipelines.query import search
-
-    expanded = expand_wildcards(index_dir, patterns)
-    items = [
-        {"query_id": qid, "query_text": " ".join(terms), "top_k": top_k}
-        for qid, terms in sorted(expanded.items())
-        if terms
-    ]
+    items = [{"query_id": qid, "query_text": " ".join(terms), "top_k": top_k}
+             for qid, terms in sorted(expanded.items()) if terms]
     if not items:
         return rd.from_pandas(_result_frame())
     return search(rd.from_items(items), index_dir, cfg, method="taat")
@@ -155,16 +158,16 @@ def wildcard_search(patterns: dict[str, str], index_dir: str,
 # --- field collapsing / grouped top hits -------------------------------------
 
 
-def _load_docmap_key(index_dir: str, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted doc_ids, key values aligned) from the docmap — only the
-    two needed columns leave disk."""
+def _load_docmap_keys(index_dir: str, *keys: str) -> tuple[np.ndarray, ...]:
+    """(sorted doc_ids, each key column's values aligned) from the
+    docmap — only the needed columns leave disk."""
     dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
-        columns=["doc_id", key]
+        columns=["doc_id", *keys]
     )
     ids = dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(ids, kind="stable")
-    keys = dm[key].take(pa.array(order)).to_numpy(zero_copy_only=False)
-    return ids[order], keys
+    take = pa.array(order)
+    return (ids[order], *(dm[k].take(take).to_numpy(zero_copy_only=False) for k in keys))
 
 
 class CollapseScorer(Scorer):
@@ -178,7 +181,7 @@ class CollapseScorer(Scorer):
 
     def __init__(self, index_dir: str, key: str = "conv_id", default_top_k: int = 10):
         super().__init__(index_dir, default_top_k)
-        self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
+        self.dm_ids, self.dm_keys = _load_docmap_keys(index_dir, key)
         self.columns = {**RESULT_COLUMNS, key: object}
 
     def hits(self, row: dict, k: int):
@@ -210,7 +213,7 @@ class GroupTopHitsScorer(Scorer):
     def __init__(self, index_dir: str, key: str = "turn_idx", per_group: int = 3):
         super().__init__(index_dir)
         self.per_group = per_group
-        self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
+        self.dm_ids, self.dm_keys = _load_docmap_keys(index_dir, key)
         self.columns = {**RESULT_COLUMNS, key: np.int64}
 
     def hits(self, row: dict, k: int):
@@ -247,7 +250,7 @@ class CollapseInnerHitsScorer(Scorer):
                  per_group: int = 2, default_top_k: int = 10):
         super().__init__(index_dir, default_top_k)
         self.per_group = per_group
-        self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
+        self.dm_ids, self.dm_keys = _load_docmap_keys(index_dir, key)
         self.columns = {**RESULT_COLUMNS, key: object, "inner_rank": np.int32}
 
     def hits(self, row: dict, k: int):
@@ -726,8 +729,7 @@ class SparseVectorScorer(Scorer):
     real deployment would replace with model-emitted weights at ingest);
     with integer query weights the whole score is EXACT int64 — no
     float order anywhere. Candidates are the union of the query tokens'
-    posting lists; tombstone-aware doc sets come from the filtered
-    postings, tf values from the raw decode."""
+    posting lists: the live docs of each raw decode, with their tfs."""
 
     columns = {**RESULT_COLUMNS, "score": np.int64}
 
@@ -742,19 +744,16 @@ class SparseVectorScorer(Scorer):
 
     def hits(self, row: dict, k: int):
         spec = self.specs[row["query_id"]]
-        postings = self.reader.load_postings(sorted(spec))
         t_docs: list[np.ndarray] = []
         t_scores: list[np.ndarray] = []
         for t, w in spec.items():
-            p = postings.get(t)
-            if p is None or p.doc_ids.size == 0:
+            if (raw := self.reader.load_raw(t)) is None:
                 continue
-            raw = self.reader.load_raw(t)
-            docs = p.doc_ids.astype(np.int64)
-            at = np.searchsorted(raw[0].astype(np.int64), docs)
-            tf = raw[1][at].astype(np.int64)
-            t_docs.append(docs)
-            t_scores.append(w * tf)
+            docs, tf = self.reader.live(raw[0], raw[1])
+            if docs.size == 0:
+                continue
+            t_docs.append(docs.astype(np.int64))
+            t_scores.append(w * tf.astype(np.int64))
         if not t_docs:
             return None
         uniq, inv = np.unique(np.concatenate(t_docs), return_inverse=True)
@@ -787,13 +786,8 @@ class TermsSetScorer(Scorer):
     def __init__(self, index_dir: str, field_key: str = "turn_idx",
                  default_top_k: int = 10):
         super().__init__(index_dir, default_top_k)
-        dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
-            columns=["doc_id", field_key])
-        ids = dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids, kind="stable")
-        self.dm_ids = ids[order]
-        self.field = (dm[field_key].take(pa.array(order))
-                      .to_numpy(zero_copy_only=False).astype(np.int64))
+        self.dm_ids, field = _load_docmap_keys(index_dir, field_key)
+        self.field = field.astype(np.int64)
 
     def hits(self, row: dict, k: int):
         terms = sorted(set(self.reader.analyzer(row["query_text"])))
@@ -929,8 +923,9 @@ class CombinedFieldsScorer(Scorer):
     (per-term best-FIELD dis_max): combined_fields rewards a term
     appearing in several fields at once instead of taking the max.
     Per-field dl comes from ``doc_lengths`` sidecar parquets loaded
-    once per actor (norms_paths aligns with field_dirs); df is the
-    pre-tombstone posting count, the module-wide convention."""
+    once per actor (norms_paths aligns with field_dirs). df′ and dl′ are
+    pre-tombstone counts, the module-wide convention; tf′ sums each
+    field's live postings only, and a doc with none is not a hit."""
 
     def __init__(self, field_dirs: list[str], weights: list[float],
                  norms_paths: list[str], default_top_k: int = 10):
@@ -964,19 +959,23 @@ class CombinedFieldsScorer(Scorer):
         d_parts: list[np.ndarray] = []
         s_parts: list[np.ndarray] = []
         for t in terms:
+            raw_ids: list[np.ndarray] = []
             f_ids: list[np.ndarray] = []
             f_tfs: list[np.ndarray] = []
             for reader, w in zip(self.readers, self.weights):
-                raw = reader.load_raw(t)
-                if raw is not None and raw[0].size:
-                    f_ids.append(raw[0].astype(np.int64))
-                    f_tfs.append(w * raw[1].astype(np.float64))
-            if not f_ids:
+                if (raw := reader.load_raw(t)) is None:
+                    continue
+                raw_ids.append(raw[0])
+                ids, tfs = reader.live(raw[0], raw[1])
+                f_ids.append(ids.astype(np.int64))
+                f_tfs.append(w * tfs.astype(np.float64))
+            if not raw_ids:
                 continue
-            alld = np.concatenate(f_ids)
-            uniq, inv = np.unique(alld, return_inverse=True)
+            uniq, inv = np.unique(np.concatenate(f_ids), return_inverse=True)
+            if uniq.size == 0:  # every posting tombstoned
+                continue
             ctf = np.bincount(inv, weights=np.concatenate(f_tfs))
-            df = float(uniq.size)
+            df = float(np.unique(np.concatenate(raw_ids)).size)
             idf = np.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
             cdl = self.norm_cdl[np.searchsorted(self.norm_ids, uniq)]
             s = (idf * ctf * (self.k1 + 1.0)
@@ -1023,14 +1022,7 @@ class FieldSortScorer(Scorer):
         super().__init__(index_dir, default_top_k)
         self.keys = keys
         # one docmap read for doc_id + both sort-key columns
-        dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
-            columns=["doc_id", *keys]
-        )
-        ids = dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids, kind="stable")
-        self.dm_ids = ids[order]
-        self.dm_k1 = dm[keys[0]].take(pa.array(order)).to_numpy(zero_copy_only=False)
-        self.dm_k2 = dm[keys[1]].take(pa.array(order)).to_numpy(zero_copy_only=False)
+        self.dm_ids, self.dm_k1, self.dm_k2 = _load_docmap_keys(index_dir, *keys)
         self.columns = {"query_id": str, "rank": np.int32, keys[0]: self.dm_k1.dtype,
                         keys[1]: self.dm_k2.dtype, "doc_id": np.int64}
 
@@ -1129,13 +1121,15 @@ def phrase_suggest(phrases: dict[str, str], shingle_index_dir: str, vocab_ds,
 
 def mget(index_dir: str, ids: list[int]) -> pd.DataFrame:
     """ES multi-get (``_mget`` / ``ids`` query): point-fetch documents by
-    id through row-group-pruned docmap reads (never a scan). Missing ids
-    are reported with ``found = 0`` (ES ``found: false``), empty conv_id
-    and turn_idx −1 — the request never errors on absent docs."""
+    id through row-group-pruned docmap reads (never a scan). Missing and
+    tombstoned ids are reported with ``found = 0`` (ES ``found: false``),
+    empty conv_id and turn_idx −1 — the request never errors on absent
+    docs."""
     want = sorted(set(int(i) for i in ids))
+    (live,) = IndexReader(index_dir).live(np.array(want, dtype=np.int64))
     dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
         columns=["doc_id", "conv_id", "turn_idx"],
-        filter=pads.field("doc_id").isin(want),
+        filter=pads.field("doc_id").isin(live.tolist()),
     ).to_pandas()
     out = pd.DataFrame({"doc_id": pd.Series(want, dtype=np.int64)}).merge(
         dm, on="doc_id", how="left", indicator=True
@@ -1160,10 +1154,8 @@ def pinned_search(queries: dict[str, tuple[str, list[int]]], index_dir: str,
     there too — the flag, not the score, is the contract)."""
     import ray.data as rd
 
-    from hybrid_sanctions_search_engine_ray.pipelines.query import search
-
-    # ES can only promote documents that exist: drop unknown pinned ids
-    # (one pruned docmap point-read over the tiny union of pins)
+    # ES can only promote documents that exist and are not deleted: drop
+    # unknown and tombstoned pinned ids (one mget over the union of pins)
     all_pins = sorted({int(d) for _, pins in queries.values() for d in pins})
     if all_pins:
         known = set(mget(index_dir, all_pins).query("found == 1")["doc_id"].tolist())
@@ -1217,10 +1209,7 @@ def fuzzy_search(queries: dict[str, str], index_dir: str, vocab_ds,
     query. The expansion runs against the vocabulary Dataset (streamed
     through the expander actors), never the corpus; queries with no
     expansion in range return no rows."""
-    import ray.data as rd
-
     from hybrid_sanctions_search_engine_ray.functions.fuzzy import fuzzy_expand
-    from hybrid_sanctions_search_engine_ray.pipelines.query import search
 
     all_terms = sorted({t for q in queries.values() for t in q.lower().split()})
     exp = fuzzy_expand(vocab_ds, all_terms, max_dist=max_dist, topn=topn,
@@ -1228,14 +1217,9 @@ def fuzzy_search(queries: dict[str, str], index_dir: str, vocab_ds,
     by_qterm: dict[str, list[str]] = (
         {} if exp.empty else exp.groupby("q_term")["term"].apply(list).to_dict()
     )
-    items = []
-    for qid, text in sorted(queries.items()):
-        terms = sorted({e for t in set(text.lower().split()) for e in by_qterm.get(t, ())})
-        if terms:
-            items.append({"query_id": qid, "query_text": " ".join(terms), "top_k": top_k})
-    if not items:
-        return rd.from_pandas(_result_frame())
-    return search(rd.from_items(items), index_dir, cfg, method="taat")
+    expanded = {qid: sorted({e for t in set(text.lower().split()) for e in by_qterm.get(t, ())})
+                for qid, text in queries.items()}
+    return _search_expansions(expanded, index_dir, cfg, top_k)
 
 
 # --- match_phrase_prefix ---------------------------------------------------------
@@ -1281,18 +1265,21 @@ def match_phrase_prefix(queries: dict[str, str], index_dir: str,
     """match_phrase_prefix over a positional index: expand the last
     token against the dictionary (same scan as wildcard), then run the
     positional chain with an any-expansion final step."""
+    return _map_prefix_scorer(PhrasePrefixScorer, queries, index_dir, cfg, top_k)
+
+
+def _map_prefix_scorer(scorer: type, queries: dict[str, str], index_dir: str,
+                       cfg: EngineConfig, top_k: int):
+    """Run a last-token-prefix scorer: per query the spec (leading
+    tokens, dictionary expansions of the last token as a prefix — one
+    wildcard scan for all queries) ships in the constructor."""
     import ray.data as rd
 
-    specs: dict[str, tuple[list[str], list[str]]] = {}
-    prefixes = {}
-    for qid, text in queries.items():
-        toks = text.lower().split()
-        prefixes[qid] = toks[-1] + "*"
-        specs[qid] = (toks[:-1], [])
-    expanded = expand_wildcards(index_dir, prefixes)
-    specs = {qid: (fixed, expanded.get(qid, [])) for qid, (fixed, _) in specs.items()}
+    toks = {qid: text.lower().split() for qid, text in queries.items()}
+    expanded = expand_wildcards(index_dir, {qid: ts[-1] + "*" for qid, ts in toks.items()})
+    specs = {qid: (ts[:-1], expanded.get(qid, [])) for qid, ts in toks.items()}
     qs = rd.from_items([{"query_id": qid, "top_k": top_k} for qid in sorted(queries)])
-    return map_scorer(qs, PhrasePrefixScorer, cfg, index_dir, specs, top_k)
+    return map_scorer(qs, scorer, cfg, index_dir, specs, top_k)
 
 
 # --- query_string mini-language ---------------------------------------------------
@@ -1343,11 +1330,12 @@ class HasParentScorer(Scorer):
     conv_search's has_child rollup. Parent keys come from the docmap
     loaded once per actor (the general path; conv_search's id-stride is
     the dense shortcut), so the child expansion is a vectorized mask
-    over the in-actor key column — no extra reads."""
+    over the in-actor key column — no extra reads. Tombstoned children
+    are left out, like every other result."""
 
     def __init__(self, index_dir: str, key: str = "conv_id", default_top_k: int = 3):
         super().__init__(index_dir, default_top_k)
-        self.dm_ids, self.dm_keys = _load_docmap_key(index_dir, key)
+        self.dm_ids, self.dm_keys = _load_docmap_keys(index_dir, key)
         # key-sorted view for O(log n) member expansion (a per-parent
         # boolean scan of the whole docmap would dominate at 10^7+ docs)
         self._key_order = np.argsort(self.dm_keys, kind="stable")
@@ -1364,11 +1352,10 @@ class HasParentScorer(Scorer):
         best = np.zeros(uniq.size, np.float64)
         np.maximum.at(best, inv, scores)
         order = np.lexsort((uniq, -best))[:k]  # (score desc, key asc)
-        members = [
-            self.dm_ids[self._key_order[np.searchsorted(self._keys_sorted, conv, side="left"):
-                                        np.searchsorted(self._keys_sorted, conv, side="right")]]
-            for conv in uniq[order]
-        ]
+        lo = np.searchsorted(self._keys_sorted, uniq[order], side="left")
+        hi = np.searchsorted(self._keys_sorted, uniq[order], side="right")
+        # the live children of each top parent
+        members = [self.reader.live(self.dm_ids[self._key_order[a:b]])[0] for a, b in zip(lo, hi)]
         n = [m.size for m in members]
         return (np.repeat(np.arange(1, order.size + 1), n), np.repeat(uniq[order], n),
                 np.concatenate(members), np.repeat(best[order], n))
@@ -1392,16 +1379,8 @@ def regexp_search(patterns: dict[str, str], index_dir: str,
     IS a regex (anchored here, matching ES's whole-term semantics); the
     dictionary expansion rides the BM25 OR path. RE2 both engine-side
     (Arrow) and oracle-side (DuckDB), so patterns are shared verbatim."""
-    import ray.data as rd
-
-    from hybrid_sanctions_search_engine_ray.pipelines.query import search
-
     expanded = _expand_regex_map(index_dir, {qid: anchor_regex(p) for qid, p in patterns.items()})
-    items = [{"query_id": qid, "query_text": " ".join(ts), "top_k": top_k}
-             for qid, ts in sorted(expanded.items()) if ts]
-    if not items:
-        return rd.from_pandas(_result_frame())
-    return search(rd.from_items(items), index_dir, cfg, method="taat")
+    return _search_expansions(expanded, index_dir, cfg, top_k)
 
 
 # --- MMR diversified reranking ----------------------------------------------------
@@ -1526,16 +1505,8 @@ class FeatureScorer(Scorer):
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
         super().__init__(index_dir, default_top_k)
-        dm = pads.dataset(os.path.join(index_dir, "docmap.parquet")).to_table(
-            columns=["doc_id", feature_key]
-        )
-        ids = dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids, kind="stable")
-        self.dm_ids = ids[order]
-        self.feature = (
-            dm[feature_key].take(pa.array(order)).to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
+        self.dm_ids, feature = _load_docmap_keys(index_dir, feature_key)
+        self.feature = feature.astype(np.float64)
         self.mode, self.boost = mode, float(boost)
         self.pivot, self.origin, self.scaling = float(pivot), float(origin), float(scaling)
         self.exponent = float(exponent)
@@ -1647,18 +1618,7 @@ def match_bool_prefix(queries: dict[str, str], index_dir: str,
     """match_bool_prefix: bool-OR term scoring with a constant-score
     prefix clause on the last token (expanded against the dictionary
     once, the same scan as wildcard)."""
-    import ray.data as rd
-
-    specs: dict[str, tuple[list[str], list[str]]] = {}
-    prefixes = {}
-    for qid, text in queries.items():
-        toks = text.lower().split()
-        prefixes[qid] = toks[-1] + "*"
-        specs[qid] = (toks[:-1], [])
-    expanded = expand_wildcards(index_dir, prefixes)
-    specs = {qid: (comp, expanded.get(qid, [])) for qid, (comp, _) in specs.items()}
-    qs = rd.from_items([{"query_id": qid, "top_k": top_k} for qid in sorted(queries)])
-    return map_scorer(qs, BoolPrefixScorer, cfg, index_dir, specs, top_k)
+    return _map_prefix_scorer(BoolPrefixScorer, queries, index_dir, cfg, top_k)
 
 
 # --- span_not ----------------------------------------------------------------

@@ -33,9 +33,7 @@ import ray
 
 def matching_doc_ids(reader, query_text: str) -> np.ndarray:
     """Union of the analyzed query terms' posting doc-lists (OR match),
-    tombstones excluded, sorted ascending."""
-    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import tombstone_mask
-
+    sorted ascending; the postings hold live docs only."""
     terms = sorted(set(reader.analyzer(query_text)))
     if not terms:
         return np.empty(0, dtype=np.int64)
@@ -43,8 +41,6 @@ def matching_doc_ids(reader, query_text: str) -> np.ndarray:
     if not postings:
         return np.empty(0, dtype=np.int64)
     ids = np.unique(np.concatenate([p.doc_ids for p in postings.values()]))
-    if len(reader.tombstones):
-        ids = ids[~tombstone_mask(reader.tombstones, ids)]
     return ids.astype(np.int64)
 
 

@@ -52,7 +52,11 @@ from hybrid_sanctions_search_engine_ray.functions.codec import (
     encode_rows,
     varint_counts,
 )
-from hybrid_sanctions_search_engine_ray.functions.hashing import factorize_exact, hash_string_array
+from hybrid_sanctions_search_engine_ray.functions.hashing import (
+    factorize_exact,
+    hash_string_array,
+    salted_partition,
+)
 from hybrid_sanctions_search_engine_ray.state.manifest import (
     atomic_write_json,
     completed_parts,
@@ -251,7 +255,7 @@ def assign_partitions(batch: pa.Table, cfg: EngineConfig, hot_terms: frozenset[s
         if hot_mask.any():
             doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
             salt = (doc_ids[hot_mask] >> cfg.hot_term_salt_shift) % cfg.hot_term_salt_buckets
-            part[hot_mask] = (h[hot_mask] + 1_000_003 * (1 + salt)) % cfg.num_partitions
+            part[hot_mask] = salted_partition(h[hot_mask], salt, cfg.num_partitions)
     return batch.append_column("part", pa.array(part.astype(np.int32)))
 
 

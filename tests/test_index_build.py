@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybrid_sanctions_search_engine_ray.state.manifest import IndexManifest
 
@@ -271,3 +273,32 @@ def test_assume_sorted_build_reads_ids_through_module(tmp_path, corpus_dir, buil
     _, cfg, _ = built_index
     index_build.build_index(corpus_dir, str(tmp_path / "idx"), cfg, assume_sorted=True)
     assert calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6, unique=True),
+       doc_ids=st.lists(st.integers(0, 1 << 40), min_size=1, max_size=6),
+       num_partitions=st.integers(1, 64), buckets=st.integers(1, 16),
+       shift=st.integers(0, 20), data=st.data())
+def test_reader_probes_every_partition_the_writer_places(terms, doc_ids, num_partitions,
+                                                         buckets, shift, data):
+    """Every (term, doc_id) posting that assign_partitions places, hot or
+    not, lands in a partition IndexReader._parts_for probes for its term."""
+    from types import SimpleNamespace
+
+    import pyarrow as pa
+
+    from hybrid_sanctions_search_engine_ray.config import EngineConfig
+    from hybrid_sanctions_search_engine_ray.pipelines.query import IndexReader
+    from hybrid_sanctions_search_engine_ray.stages.postings import assign_partitions
+
+    cfg = EngineConfig(num_partitions=num_partitions, hot_term_salt_buckets=buckets,
+                       hot_term_salt_shift=shift)
+    hot = frozenset(data.draw(st.sets(st.sampled_from(terms))))
+    rows = [(t, d) for t in terms for d in doc_ids]
+    batch = pa.table({"term": pa.array([t for t, _ in rows], pa.string()),
+                      "doc_id": pa.array([d for _, d in rows], pa.int64())})
+    placed = assign_partitions(batch, cfg, hot)["part"].to_pylist()
+    reader = SimpleNamespace(cfg=cfg, hot=hot)
+    for (term, _), part in zip(rows, placed):
+        assert part in IndexReader._parts_for(reader, term), (term, part)

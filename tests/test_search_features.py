@@ -23,6 +23,7 @@ from hybrid_sanctions_search_engine_ray.pipelines.query import (
     BooleanScorer,
     IndexReader,
     _result_frame,
+    phrase_search,
 )
 
 CFG = EngineConfig(num_partitions=4, analyzer=AnalyzerConfig(mode="simple"))
@@ -1338,3 +1339,120 @@ def test_scorer_batch_equals_concatenated_rows(feat_index, case):
     assert len(out)
     pd.testing.assert_frame_equal(out, pd.concat([r for r in rows if len(r)], ignore_index=True))
     pd.testing.assert_series_equal(out.dtypes, _result_frame(scorer.columns).dtypes)
+
+
+# --- visibility: no result path returns a tombstoned doc -----------------------
+
+_DEAD = [0, 4, 6]
+_ALL_K = 20  # ≥ the corpus size: every match is returned
+_SIMILARITIES = {"lmd": (), "lmjm": (), "classic": (), "dfr": (), "dfi": (), "ib": (),
+                 "scripted": (lambda tfs, dls, ctx: tfs / dls,)}
+
+
+@pytest.fixture(scope="module")
+def dead_fields(tmp_path_factory, feat_index, role_field_index):
+    """Copies of the body and category field indexes with docs 0, 4 and 6
+    tombstoned and not compacted."""
+    import shutil
+
+    from hybrid_sanctions_search_engine_ray.pipelines.maintenance import delete_docs
+
+    root = tmp_path_factory.mktemp("dead")
+    dirs = []
+    for name, src in [("body", feat_index), ("cat", role_field_index)]:
+        shutil.copytree(src, str(root / name))
+        delete_docs(str(root / name), _DEAD)
+        dirs.append(str(root / name))
+    return dirs
+
+
+def _batch_case(name):
+    make, cols = _BATCH_CASES[name]
+    batch = pd.DataFrame({"query_id": [f"q{i}" for i in range(4)], "query_text": _BATCH_TEXTS,
+                          "top_k": [_ALL_K] * 4, **cols})
+    return lambda body, cat, norms: make(body)(batch)
+
+
+def _similarity_case(method, *args):
+    def run(body, cat, norms):
+        r = IndexReader(body)
+        frames = []
+        for i, q in enumerate(_BATCH_TEXTS):
+            d, s = getattr(r, method)(q, _ALL_K, *args)
+            frames.append(pd.DataFrame({"query_id": f"q{i}", "doc_id": d.astype(np.int64),
+                                        "score": s}))
+        return pd.concat(frames, ignore_index=True)
+    return run
+
+
+def _federated(body, cat, norms):
+    from hybrid_sanctions_search_engine_ray.pipelines.federated import FederatedReader
+
+    docs, scores = FederatedReader([body, cat]).search_one("alpha beta red blue", _ALL_K)
+    # both shards hold the 9 docs, and each tombstones its own 0, 4 and 6
+    return pd.DataFrame({"doc_id": docs.astype(np.int64) % len(TEXTS), "score": scores})
+
+
+def _fields_case(make):
+    """``make(field_dirs, norms_paths)`` over the (body, category) field group."""
+    batch = pd.DataFrame({"query_id": ["q0", "q1", "q2"], "top_k": [_ALL_K] * 3,
+                          "query_text": ["red alpha", "beta blue gamma", "alpha"]})
+    return lambda body, cat, norms: make([body, cat], norms)(batch)
+
+
+_VISIBILITY_CASES = {
+    "combined_fields": _fields_case(lambda d, n: sfeat.CombinedFieldsScorer(d, [1.0, 2.0], n)),
+    "cross_fields": _fields_case(lambda d, n: sfeat.CrossFieldsScorer(d, [1.0, 1.0])),
+    "multi_match": _fields_case(lambda d, n: sfeat.MultiMatchScorer(d, [1.0, 2.0], "most_fields")),
+    **{f"search_one_{m}": _similarity_case(f"search_one_{m}", *a) for m, a in _SIMILARITIES.items()},
+    "federated": _federated,
+    "phrase_search": lambda body, cat, norms: phrase_search(body, "beta gamma", top_k=_ALL_K),
+    "mget": lambda body, cat, norms: sfeat.mget(body, range(len(TEXTS))).query("found == 1"),
+    "pinned": lambda body, cat, norms: sfeat.pinned_search(
+        {"q0": ("alpha beta", [6, 1]), "q1": ("gamma", [0, 4, 2])}, body, CFG, top_k=_ALL_K),
+}
+# stats count deletes until compaction, so live docs keep their exact scores
+_SAME_LIVE_SCORES = {"bm25", "boolean", "sparse_vector", "combined_fields", "mget",
+                     *(f"search_one_{m}" for m in _SIMILARITIES)}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES) + sorted(_VISIBILITY_CASES))
+def test_no_result_path_returns_a_tombstoned_doc(feat_index, role_field_index, cf_norms,
+                                                 dead_fields, case):
+    run = _VISIBILITY_CASES.get(case) or _batch_case(case)
+    out = run(*dead_fields, cf_norms)
+    if "doc_id" in out:
+        assert not set(out["doc_id"]) & set(_DEAD), case
+    if case == "count":  # counts the live matches that bm25 returns at top_k ≥ N
+        hits = _batch_case("bm25")(*dead_fields, cf_norms).groupby("query_id").size()
+        assert out.set_index("query_id")["n_matches"].to_dict() == {
+            q: hits.get(q, 0) for q in out["query_id"]}
+    if case in _SAME_LIVE_SCORES:
+        full = run(feat_index, role_field_index, cf_norms)
+        assert full["doc_id"].isin(_DEAD).any(), case  # the case does see a dead doc
+        got = out.drop(columns="rank", errors="ignore").reset_index(drop=True)
+        want = full[~full["doc_id"].isin(_DEAD)].drop(columns="rank", errors="ignore")
+        pd.testing.assert_frame_equal(got, want.reset_index(drop=True), check_exact=True)
+
+
+def test_only_the_reader_tests_tombstones():
+    """Query-time visibility has one owner, ``IndexReader.live``: only the
+    maintenance module (which defines the test and compacts with it) and
+    the reader module name ``tombstone_mask``."""
+    import re
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    allowed = {os.path.join("hybrid_sanctions_search_engine_ray", "pipelines", m)
+               for m in ("maintenance.py", "query.py")}
+    paths = [os.path.join(dp, f) for top in ("hybrid_sanctions_search_engine_ray", "tools")
+             for dp, _, fs in os.walk(os.path.join(repo, top)) for f in fs if f.endswith(".py")]
+    paths += [os.path.join(repo, "__ray_entry__.py"), os.path.join(repo, "bench.py")]
+    offenders = []
+    for p in paths:
+        rel = os.path.relpath(p, repo)
+        if rel in allowed:
+            continue
+        with open(p) as f:
+            offenders += [f"{rel}:{i}" for i, line in enumerate(f, 1)
+                          if re.search(r"\btombstone_mask\b", line)]
+    assert not offenders, offenders
